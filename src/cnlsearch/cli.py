@@ -84,7 +84,7 @@ def _load_pipeline(args: argparse.Namespace) -> Pipeline:
         graph = grammar_mod.default_graph()
     if not args.catalog:
         raise CatalogError("--catalog is required")
-    with open(args.catalog, encoding="utf-8", newline="") as fh:
+    with open(args.catalog, encoding="utf-8-sig", newline="") as fh:
         catalog, index = ingest_catalog(fh.read())
     return Pipeline(lex, graph, catalog, index)
 
@@ -145,12 +145,14 @@ def _side_outputs(args: argparse.Namespace, pipe: Pipeline,
         with open(args.export_triples, "w", encoding="utf-8", newline="") as fh:
             fh.write(export_triples(model))
     if args.log:
+        rels: dict[int, list[tuple[int, int]]] = {}
+        for r in model.relations:
+            for sid in (r.from_id, r.to_id):
+                rels.setdefault(sid, []).append((r.from_id, r.to_id))
         for rs in results:
             sid = rs.query.statement_id
-            rels = [(r.from_id, r.to_id) for r in model.relations
-                    if sid in (r.from_id, r.to_id)]
             append_log(args.log, sid, rs.query.terms, rs.matched,
-                       [item.record_id for item in rs.items], rels)
+                       [item.record_id for item in rs.items], rels.get(sid, []))
     if args.save_index:
         with open(args.save_index, "w", encoding="utf-8", newline="") as fh:
             fh.write(save_index_text(pipe.index))
@@ -215,7 +217,7 @@ def run_repl(args: argparse.Namespace, stdin=None, out=None, err=None) -> int:
         if raw == "":
             out.write("\n")
             return EXIT_OK
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if line == ":quit":
             return EXIT_OK
         if not line.strip():

@@ -14,7 +14,6 @@ class StructuredQuery:
     statement_id: int
     terms: tuple[str, ...]
     predicate: str
-    mode: str = "conjunctive_then_fallback"
 
 
 def generate_query(model: SemanticModel) -> list[StructuredQuery]:

@@ -5,7 +5,7 @@ query execution with AND-then-OR fallback, and a TSV query log.
 from __future__ import annotations
 
 import csv
-import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -42,24 +42,44 @@ class Catalog:
         return self.records[record_id]
 
 
+def _trigrams(text: str) -> set[str]:
+    return {text[i:i + 3] for i in range(len(text) - 2)}
+
+
 class InvertedIndex:
-    """term -> ascending, duplicate-free posting list of record ids."""
+    """term -> ascending, duplicate-free posting list of record ids, and
+    trigram -> the terms containing it, which narrows substring lookup."""
 
     def __init__(self):
         self.postings: dict[str, list[int]] = {}
+        self.grams: dict[str, list[str]] = {}
 
     def post(self, term: str, record_id: int) -> None:
-        ids = self.postings.setdefault(term, [])
-        if record_id not in ids:
+        ids = self.postings.get(term)
+        if ids is None:
+            self.postings[term] = [record_id]
+            for gram in _trigrams(term):
+                self.grams.setdefault(gram, []).append(term)
+        elif record_id > ids[-1]:  # ingest order
             ids.append(record_id)
-            ids.sort()
+        else:
+            pos = bisect_left(ids, record_id)
+            if ids[pos] != record_id:
+                ids.insert(pos, record_id)
 
     def ids_matching(self, term: str) -> set[int]:
-        # substring semantics, mirroring the LIKE '%term%' rendering
+        # substring semantics, mirroring the LIKE '%term%' rendering. A key
+        # containing the term contains each of its trigrams, so the rarest
+        # trigram's key list holds every match; an absent trigram gives ().
+        # Terms of 1-2 characters have no trigram and scan the vocabulary.
+        if len(term) < 3:
+            keys = self.postings
+        else:
+            keys = min((self.grams.get(g, ()) for g in _trigrams(term)), key=len)
         out: set[int] = set()
-        for key, ids in self.postings.items():
+        for key in keys:
             if term in key:
-                out.update(ids)
+                out.update(self.postings[key])
         return out
 
 
@@ -97,9 +117,19 @@ def _add_record(catalog: Catalog, index: InvertedIndex, record: ProductRecord) -
         index.post(term, record.id)
 
 
+def _lines(source: str):
+    """The newline-terminated lines ``io.StringIO(source)`` would yield,
+    without the copy of the whole text it makes."""
+    start = 0
+    while start < len(source):
+        end = source.find("\n", start) + 1 or len(source)
+        yield source[start:end]
+        start = end
+
+
 def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
     """Load catalog CSV text and build the inverted index."""
-    reader = csv.reader(io.StringIO(source))
+    reader = csv.reader(_lines(source))
     try:
         header = next(reader)
     except StopIteration:

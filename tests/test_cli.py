@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,14 @@ class TestBatch:
         batch_run(tmp_path, ["bolt"], "--save-index", str(path))
         assert "bolt\t1,4\n" in path.read_text()
 
+    def test_bom_catalog(self, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(sample_catalog_path()).read_bytes())
+        _, plain, _ = batch_run(tmp_path, ["I need bolt"])
+        code, out, err = batch_run(tmp_path, ["I need bolt"], "--catalog", str(bom))
+        assert (code, err) == (0, "")
+        assert out == plain
+
     def test_explain_lists_every_token_once(self, tmp_path):
         code, out, _ = batch_run(tmp_path, ["She needs bolt M8."], "--explain")
         tokens_block = out.split("path:")[0]
@@ -142,6 +151,12 @@ class TestRepl:
         assert code == 0
         assert "pronoun_before_imperative" in err
         assert "Query: bolt" in out
+
+    def test_crlf_input(self):
+        code, crlf_out, err = self.run("I need bolt\r\n:quit\r\n")
+        _, lf_out, _ = self.run("I need bolt\n:quit\n")
+        assert (code, err) == (0, "")
+        assert crlf_out == lf_out
 
     def test_eof_exits_cleanly(self):
         code, out, _ = self.run("bolt\n")

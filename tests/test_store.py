@@ -2,11 +2,17 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnlsearch.queries import StructuredQuery
 from cnlsearch.store import (CatalogError, ProductRecord, append_log, execute,
                              index_terms, ingest_catalog, save_index_text,
                              update_index)
+
+# a small alphabet makes keys share trigrams, so the trigram filter
+# keeps candidates that verification must reject
+WORDS = st.text(alphabet="ab8_-", min_size=1, max_size=8)
+TERMS = st.text(alphabet="ab8_-", min_size=1, max_size=6)
 
 SMALL_CATALOG = """\
 id,name,category,description,attributes
@@ -125,6 +131,36 @@ class TestExecuteOracle:
             expected, flag = brute_force(q, catalog)
             assert [(i.record_id, i.score) for i in rs.items] == expected
             assert rs.matched == flag
+
+
+def linear_scan(index, term):
+    return {rid for key, ids in index.postings.items() if term in key
+            for rid in ids}
+
+
+class TestLookupProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.lists(WORDS, min_size=1, max_size=4),
+                            min_size=1, max_size=12),
+           rnd=st.randoms(use_true_random=False),
+           terms=st.lists(TERMS, min_size=1, max_size=6),
+           late_word=WORDS)
+    def test_matches_linear_scan(self, records, rnd, terms, late_word):
+        ids = list(range(1, len(records) + 1))
+        rnd.shuffle(ids)
+        rows = "".join(f"{rid},{' '.join(records[rid - 1])},c,,\n" for rid in ids)
+        catalog, index = ingest_catalog(
+            "id,name,category,description,attributes\n" + rows)
+        for term in terms:
+            assert index.ids_matching(term) == linear_scan(index, term)
+        for posting in index.postings.values():
+            assert all(a < b for a, b in zip(posting, posting[1:]))
+        late_id = len(records) + 1
+        update_index(catalog, index,
+                     [ProductRecord(late_id, late_word, "c", "", ())])
+        assert late_id in index.ids_matching(late_word)
+        for term in terms:
+            assert index.ids_matching(term) == linear_scan(index, term)
 
 
 class TestUpdateIndex:
