@@ -122,10 +122,7 @@ def _emit(args: argparse.Namespace, out, model: SemanticModel,
         for ast, table, q in zip(asts, tables, queries):
             _explain(out, ast, table, q, model)
     if args.format == "text":
-        frames = [
-            ResponseFrame(build_echo(ast), model.statements[i].agreement, rs)
-            for i, (ast, rs) in enumerate(zip(asts, results))
-        ]
+        frames = [ResponseFrame(build_echo(ast), rs) for ast, rs in zip(asts, results)]
         present([reconstruct(f) for f in prioritize(frames)], out)
     elif args.format == "sql":
         for q in queries:
@@ -159,9 +156,10 @@ def _side_outputs(args: argparse.Namespace, pipe: Pipeline,
 
 
 def _run_statements(args: argparse.Namespace, pipe: Pipeline,
-                    lines: list[tuple[str, str]], out, err) -> bool:
-    """Run the pipeline over (label, statement) pairs; returns True when
-    every statement parsed."""
+                    lines: list[tuple[str, str]], out, err) -> int:
+    """Run the pipeline over (label, statement) pairs; returns the exit
+    code: EXIT_PARSE when a statement did not parse, EXIT_CONFIG when an
+    output file could not be written."""
     asts: list[StatementAst] = []
     tables: list[SymbolTable] = []
     ok = True
@@ -176,10 +174,22 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
         tables.append(table)
     model = resolve(build_model(asts))
     queries = generate_query(model)
-    results = [execute(q, pipe.catalog, pipe.index) for q in queries]
+    # an answer depends only on the terms: statements with equal terms
+    # share one retrieval and each keeps its own query (statement id)
+    answers: dict[tuple[str, ...], ResultSet] = {}
+    results = []
+    for q in queries:
+        if q.terms not in answers:
+            answers[q.terms] = execute(q, pipe.catalog, pipe.index)
+        rs = answers[q.terms]
+        results.append(ResultSet(rs.items, q, rs.matched))
     _emit(args, out, model, asts, tables, queries, results)
-    _side_outputs(args, pipe, model, results)
-    return ok
+    try:
+        _side_outputs(args, pipe, model, results)
+    except OSError as exc:
+        err.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    return EXIT_OK if ok else EXIT_PARSE
 
 
 def run_batch(args: argparse.Namespace, out=None, err=None) -> int:
@@ -197,8 +207,7 @@ def run_batch(args: argparse.Namespace, out=None, err=None) -> int:
         for n, line in enumerate(raw_lines, start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
-    ok = _run_statements(args, pipe, lines, out, err)
-    return EXIT_OK if ok else EXIT_PARSE
+    return _run_statements(args, pipe, lines, out, err)
 
 
 def run_repl(args: argparse.Namespace, stdin=None, out=None, err=None) -> int:
@@ -222,8 +231,8 @@ def run_repl(args: argparse.Namespace, stdin=None, out=None, err=None) -> int:
             return EXIT_OK
         if not line.strip():
             continue
-        _run_statements(args, pipe, [("input", line)], out, err)
-    return EXIT_OK
+        if _run_statements(args, pipe, [("input", line)], out, err) == EXIT_CONFIG:
+            return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,14 +7,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from .grammar import Agreement, StatementAst
+from .grammar import StatementAst
 from .store import ResultSet
 
 
 @dataclass(frozen=True)
 class ResponseFrame:
     echo: str
-    agreement: Agreement
     results: ResultSet
 
 

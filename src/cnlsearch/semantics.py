@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .grammar import Agreement, StatementAst, agreement_of
+from .grammar import StatementAst
 
 # third-person-singular verb forms map to their base form so each verb
 # lemma contributes a single predicate
@@ -29,7 +29,6 @@ class Triple:
 class Statement:
     statement_id: int
     triple: Triple
-    agreement: Agreement
     source: str
 
 
@@ -61,24 +60,29 @@ def build_model(asts: list[StatementAst]) -> SemanticModel:
             predicate = "unknown"
         obj = " ".join(t.normalized for t in ast.keyword_phrase)
         statements.append(
-            Statement(i, Triple(subject, predicate, obj), agreement_of(ast), ast.source)
+            Statement(i, Triple(subject, predicate, obj), ast.source)
         )
     return SemanticModel(tuple(statements), ())
 
 
 def resolve(model: SemanticModel) -> SemanticModel:
-    """Link every statement pair whose objects share at least one word."""
-    relations = []
+    """Link every statement pair whose objects share at least one word,
+    ordered by (from, to). Only statements that hold one of a statement's
+    words are visited, so the cost follows the links, not the pairs."""
     stmts = model.statements
-    for a in range(len(stmts)):
-        words_a = set(stmts[a].triple.object.split())
-        for b in range(a + 1, len(stmts)):
-            shared = words_a & set(stmts[b].triple.object.split())
-            if shared:
-                relations.append(
-                    RelationLink(stmts[a].statement_id, stmts[b].statement_id,
-                                 frozenset(shared))
-                )
+    words = [set(s.triple.object.split()) for s in stmts]
+    holders: dict[str, list[int]] = {}  # word -> positions of the statements holding it
+    for pos, stmt_words in enumerate(words):
+        for word in stmt_words:
+            holders.setdefault(word, []).append(pos)
+    relations = []
+    for a, words_a in enumerate(words):
+        later = sorted({b for word in words_a for b in holders[word] if b > a})
+        relations.extend(
+            RelationLink(stmts[a].statement_id, stmts[b].statement_id,
+                         frozenset(words_a & words[b]))
+            for b in later
+        )
     return replace(model, relations=tuple(relations))
 
 

@@ -8,6 +8,7 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .lexicon import _WORD_RE
 from .queries import StructuredQuery
@@ -83,8 +84,7 @@ class InvertedIndex:
         return out
 
 
-@dataclass(frozen=True)
-class ResultItem:
+class ResultItem(NamedTuple):
     record_id: int
     name: str
     category: str
@@ -174,22 +174,21 @@ def execute(q: StructuredQuery, catalog: Catalog, index: InvertedIndex) -> Resul
     per_term = [index.ids_matching(term) for term in q.terms]
     conj = set.intersection(*per_term) if per_term else set()
     if conj:
-        items = tuple(
-            ResultItem(rid, catalog[rid].name, catalog[rid].category,
-                       len(q.terms), "AND")
-            for rid in sorted(conj)
+        matched = "AND"
+        scored = [(len(q.terms), rid) for rid in sorted(conj)]
+    else:
+        matched = "OR"
+        union = set().union(*per_term) if per_term else set()
+        scored = sorted(
+            ((sum(1 for ids in per_term if rid in ids), rid) for rid in union),
+            key=lambda pair: (-pair[0], pair[1]),
         )
-        return ResultSet(items, q, "AND")
-    union = set().union(*per_term) if per_term else set()
-    scored = sorted(
-        ((sum(1 for ids in per_term if rid in ids), rid) for rid in union),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    items = tuple(
-        ResultItem(rid, catalog[rid].name, catalog[rid].category, score, "OR")
-        for score, rid in scored
-    )
-    return ResultSet(items, q, "OR")
+    records = catalog.records
+    items = []
+    for score, rid in scored:
+        record = records[rid]
+        items.append(ResultItem(rid, record.name, record.category, score, matched))
+    return ResultSet(tuple(items), q, matched)
 
 
 def update_index(catalog: Catalog, index: InvertedIndex,

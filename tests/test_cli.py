@@ -105,6 +105,36 @@ class TestBatch:
         batch_run(tmp_path, ["bolt"], "--save-index", str(path))
         assert "bolt\t1,4\n" in path.read_text()
 
+    def test_statements_with_equal_terms_keep_their_ids(self, tmp_path):
+        log = tmp_path / "query.log"
+        code, out, _ = batch_run(
+            tmp_path, ["bolt", "I need bolt", "He needs pump",
+                       "She is looking for bolt"],
+            "--format", "tsv", "--log", str(log))
+        assert code == 0
+        bolt = ["1\tHex Bolt M8\t1\tAND", "4\tBolt M8x20\t1\tAND"]
+        pump = ["3\tCentrifugal Pump\t1\tAND", "5\tPump Seal Kit\t1\tAND"]
+        assert out.splitlines() == [
+            f"{sid}\t{row}" for sid, rows in
+            [(1, bolt), (2, bolt), (3, pump), (4, bolt)] for row in rows
+        ]
+        fields = [line.split("\t")[1:] for line in log.read_text().splitlines()]
+        assert fields == [
+            ["1", "bolt", "AND", "1,4", "1-2;1-4"],
+            ["2", "bolt", "AND", "1,4", "1-2;2-4"],
+            ["3", "pump", "AND", "3,5", ""],
+            ["4", "bolt", "AND", "1,4", "1-4;2-4"],
+        ]
+
+    @pytest.mark.parametrize("flag", ["--log", "--export-triples", "--save-index"])
+    def test_unwritable_output_path_exit_1(self, tmp_path, flag):
+        target = tmp_path / "no_such_dir" / "out"
+        code, out, err = batch_run(tmp_path, ["I need bolt"], flag, str(target))
+        assert code == 1
+        assert "Query: I need bolt" in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bom_catalog(self, tmp_path):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(sample_catalog_path()).read_bytes())
@@ -157,6 +187,14 @@ class TestRepl:
         _, lf_out, _ = self.run("I need bolt\n:quit\n")
         assert (code, err) == (0, "")
         assert crlf_out == lf_out
+
+    def test_unwritable_save_index_ends_session(self, tmp_path):
+        target = tmp_path / "no_such_dir" / "index.tsv"
+        code, out, err = self.run("bolt\nbolt\n:quit\n", "--save-index", str(target))
+        assert code == 1
+        assert out.count("Query: bolt") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_eof_exits_cleanly(self):
         code, out, _ = self.run("bolt\n")

@@ -1,6 +1,6 @@
 import io
 
-from cnlsearch.grammar import agreement_of, parse
+from cnlsearch.grammar import parse
 from cnlsearch.lexicon import tokenize
 from cnlsearch.queries import StructuredQuery
 from cnlsearch.responder import (ResponseFrame, build_echo, present,
@@ -10,7 +10,7 @@ from cnlsearch.store import ResultItem, ResultSet
 
 def make_frame(echo, items, matched="AND"):
     rs = ResultSet(tuple(items), StructuredQuery(1, ("x",), "need"), matched)
-    return ResponseFrame(echo, None, rs)
+    return ResponseFrame(echo, rs)
 
 
 BOLT_ITEMS = [
@@ -84,7 +84,7 @@ class TestReconstruct:
 
     def test_ids_and_keyword_present(self, lex, graph):
         ast, _ = parse(tokenize("He needs bolt m8", lex), graph)
-        frame = ResponseFrame(build_echo(ast), agreement_of(ast),
+        frame = ResponseFrame(build_echo(ast),
                               ResultSet(tuple(BOLT_ITEMS),
                                         StructuredQuery(1, ("bolt", "m8"), "need"),
                                         "AND"))

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnlsearch.grammar import parse
 from cnlsearch.lexicon import tokenize
-from cnlsearch.semantics import (CANONICAL_PREDICATE, build_model,
-                                 canonical_predicate, export_triples, resolve)
+from cnlsearch.semantics import (CANONICAL_PREDICATE, SemanticModel, Statement,
+                                 Triple, build_model, canonical_predicate,
+                                 export_triples, resolve)
 
 
 def model_of(lines, lex, graph):
@@ -16,8 +18,6 @@ class TestBuildModel:
         m = model_of(["She is looking for bolt"], lex, graph)
         t = m.statements[0].triple
         assert (t.subject, t.predicate, t.object) == ("she", "looking for", "bolt")
-        a = m.statements[0].agreement
-        assert (a.tense, a.person, a.number) == ("present_continuous", "third", "singular")
 
     def test_bare_triple_gets_unknown_predicate(self, lex, graph):
         m = model_of(["bolt M8"], lex, graph)
@@ -67,6 +67,42 @@ class TestResolve:
         m1 = resolve(model_of(["bolt m8", "bolt washer"], lex, graph))
         m2 = resolve(model_of(["bolt washer", "bolt m8"], lex, graph))
         assert m1.relations[0].shared_terms == m2.relations[0].shared_terms
+
+
+def all_pairs_relations(objects):
+    """Reference definition: every pair a < b in input order whose objects
+    share a word, with the shared words."""
+    words = [set(obj.split()) for obj in objects]
+    return [
+        (a + 1, b + 1, frozenset(words[a] & words[b]))
+        for a in range(len(words))
+        for b in range(a + 1, len(words))
+        if words[a] & words[b]
+    ]
+
+
+# a pool of a few objects over a five-word alphabet, drawn from with
+# replacement: words and whole objects repeat, and lists of 0 or 1
+# statements come up too
+OBJECTS = st.lists(
+    st.lists(st.sampled_from(["bolt", "nut", "m8", "pump", "seal"]),
+             min_size=1, max_size=3).map(" ".join),
+    min_size=1, max_size=5,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30))
+
+
+class TestResolveProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(objects=OBJECTS)
+    def test_matches_all_pairs(self, objects):
+        model = SemanticModel(
+            tuple(Statement(i, Triple("-", "unknown", obj), obj)
+                  for i, obj in enumerate(objects, start=1)),
+            (),
+        )
+        got = [(r.from_id, r.to_id, r.shared_terms)
+               for r in resolve(model).relations]
+        assert got == all_pairs_relations(objects)
 
 
 class TestExportTriples:
