@@ -18,7 +18,7 @@ from .semantics import (RelationLink, SemanticModel, Triple, build_model,
                         export_triples, resolve)
 from .store import (Catalog, InvertedIndex, ProductRecord, ResultItem,
                     ResultSet, append_log, execute, ingest_catalog,
-                    save_index_text, update_index)
+                    save_index_text)
 
 __all__ = [
     "Agreement", "ParseError", "StatementAst", "SymbolTable",
@@ -32,7 +32,6 @@ __all__ = [
     "export_triples", "resolve",
     "Catalog", "InvertedIndex", "ProductRecord", "ResultItem", "ResultSet",
     "append_log", "execute", "ingest_catalog", "save_index_text",
-    "update_index",
 ]
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from importlib import resources
 
 from . import grammar as grammar_mod
@@ -57,18 +58,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+@dataclass(frozen=True)
 class Pipeline:
     """Loaded lexicon, grammar and catalog shared by batch and REPL modes."""
-
-    def __init__(self, lex: Lexicon, graph: TransitionGraph,
-                 catalog: Catalog, index: InvertedIndex):
-        self.lexicon = lex
-        self.graph = graph
-        self.catalog = catalog
-        self.index = index
-
-    def parse_line(self, line: str) -> tuple[StatementAst, SymbolTable]:
-        return parse(tokenize(line, self.lexicon), self.graph)
+    lexicon: Lexicon
+    graph: TransitionGraph
+    catalog: Catalog
+    index: InvertedIndex
 
 
 def _load_pipeline(args: argparse.Namespace) -> Pipeline:
@@ -133,7 +129,7 @@ def _emit(args: argparse.Namespace, out, model: SemanticModel,
         for rs in results:
             for item in rs.items:
                 out.write(f"{rs.query.statement_id}\t{item.record_id}\t"
-                          f"{item.name}\t{item.score}\t{item.matched}\n")
+                          f"{item.name}\t{item.score}\t{rs.matched}\n")
 
 
 def _side_outputs(args: argparse.Namespace, pipe: Pipeline,
@@ -165,9 +161,13 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
     ok = True
     for label, line in lines:
         try:
-            ast, table = pipe.parse_line(line)
+            ast, table = parse(tokenize(line, pipe.lexicon), pipe.graph)
         except ParseError as exc:
             err.write(_format_parse_error(label, exc) + "\n")
+            ok = False
+            continue
+        except ValueError as exc:  # a line the tokenizer cannot read
+            err.write(f"{label}: error: {exc}\n")
             ok = False
             continue
         asts.append(ast)

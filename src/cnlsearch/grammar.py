@@ -8,9 +8,9 @@ is a START-to-END path in the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .lexicon import Token, TokenStream, WORD_CLASSES
+from .lexicon import Token, TokenStream
 
 NODE_CLASSES = ("START",) + tuple("ABCDEFGHIJK") + ("END",)
 
@@ -95,7 +95,6 @@ class StatementAst:
     verb: Token | None
     keyword_phrase: tuple[Token, ...]
     clause_kind: str  # simple | continuous | imperative | bare
-    source: str
 
 
 @dataclass(frozen=True)
@@ -179,14 +178,21 @@ def default_graph() -> TransitionGraph:
     return load_graph(DEFAULT_GRAMMAR_TEXT)
 
 
+def _walk(path: list[str] | tuple[str, ...], g: TransitionGraph) -> tuple[int, str]:
+    """Follow path from START: the number of steps taken before the first
+    missing edge, and the node reached."""
+    state = "START"
+    for steps, cls in enumerate(path):
+        if not g.has_edge(state, cls):
+            return steps, state
+        state = cls
+    return len(path), state
+
+
 def accepts_sequence(seq: list[str] | tuple[str, ...], g: TransitionGraph) -> bool:
     """Left-to-right acceptance of a class sequence (the parser core)."""
-    state = "START"
-    for cls in seq:
-        if not g.has_edge(state, cls):
-            return False
-        state = cls
-    return g.has_edge(state, "END")
+    path = (*seq, "END")
+    return _walk(path, g)[0] == len(path)
 
 
 def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTable]:
@@ -229,19 +235,15 @@ def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTabl
     clause = prefix[lead:]
 
     end_span = (len(ts.source), len(ts.source))
-    walk: list[tuple[Token, str]] = [(t, t.cls) for t in clause]
-    if keyword:
-        walk.append((keyword[0], "K"))
-
-    state = "START"
-    for tok, cls in walk:
-        if cls == "UNKNOWN" or not g.has_edge(state, cls):
-            expected = frozenset(g.successors(state))
-            if state in PRONOUN_CLASSES and cls == "J":
-                raise ParseError("pronoun_before_imperative", tok.span, expected, cls)
-            raise ParseError("illegal_transition", tok.span, expected, cls)
-        state = cls
-    if not g.has_edge(state, "END"):
+    walked = clause + keyword[:1]  # the token behind each step but END
+    path = [t.cls for t in clause] + (["K"] if keyword else []) + ["END"]
+    steps, state = _walk(path, g)
+    if steps < len(walked):  # UNKNOWN is no graph node, so it stops the walk
+        cls = path[steps]
+        kind = ("pronoun_before_imperative" if state in PRONOUN_CLASSES and cls == "J"
+                else "illegal_transition")
+        raise ParseError(kind, walked[steps].span, frozenset(g.successors(state)), cls)
+    if steps == len(walked):  # no edge to END
         expected = frozenset(g.successors(state))
         kind = "missing_keyword" if not keyword and "K" in expected else "illegal_transition"
         raise ParseError(kind, end_span, expected, "END")
@@ -267,7 +269,7 @@ def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTabl
     else:
         clause_kind = "bare"
 
-    ast = StatementAst(subject, auxiliary, verb, tuple(keyword), clause_kind, ts.source)
+    ast = StatementAst(subject, auxiliary, verb, tuple(keyword), clause_kind)
     return ast, SymbolTable(tuple(rows))
 
 

@@ -84,9 +84,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, lexeme: str) -> bool:
-        return lexeme in self.entries
-
     def class_of(self, lexeme: str) -> str | None:
         return self.entries.get(lexeme)
 

@@ -29,7 +29,6 @@ class Triple:
 class Statement:
     statement_id: int
     triple: Triple
-    source: str
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,7 @@ def build_model(asts: list[StatementAst]) -> SemanticModel:
         else:
             predicate = "unknown"
         obj = " ".join(t.normalized for t in ast.keyword_phrase)
-        statements.append(
-            Statement(i, Triple(subject, predicate, obj), ast.source)
-        )
+        statements.append(Statement(i, Triple(subject, predicate, obj)))
     return SemanticModel(tuple(statements), ())
 
 

@@ -5,6 +5,7 @@ query execution with AND-then-OR fallback, and a TSV query log.
 from __future__ import annotations
 
 import csv
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -14,6 +15,10 @@ from .lexicon import _WORD_RE
 from .queries import StructuredQuery
 
 CATALOG_HEADER = ["id", "name", "category", "description", "attributes"]
+
+# name and category are printed one record per line, so a control
+# character there (a tab or a newline) would split an output row
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 class CatalogError(ValueError):
@@ -89,14 +94,13 @@ class ResultItem(NamedTuple):
     name: str
     category: str
     score: int
-    matched: str  # AND | OR
 
 
 @dataclass(frozen=True)
 class ResultSet:
     items: tuple[ResultItem, ...]
     query: StructuredQuery
-    matched: str
+    matched: str  # AND | OR
 
 
 def index_terms(record: ProductRecord) -> set[str]:
@@ -109,14 +113,6 @@ def index_terms(record: ProductRecord) -> set[str]:
     return terms
 
 
-def _add_record(catalog: Catalog, index: InvertedIndex, record: ProductRecord) -> None:
-    if record.id in catalog:
-        raise CatalogError(f"duplicate record id {record.id}")
-    catalog.records[record.id] = record
-    for term in index_terms(record):
-        index.post(term, record.id)
-
-
 def _lines(source: str):
     """The newline-terminated lines ``io.StringIO(source)`` would yield,
     without the copy of the whole text it makes."""
@@ -127,18 +123,26 @@ def _lines(source: str):
         start = end
 
 
-def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
-    """Load catalog CSV text and build the inverted index."""
+def _rows(source: str):
+    """CSV rows of the source; malformed CSV is a CatalogError."""
     reader = csv.reader(_lines(source))
     try:
-        header = next(reader)
-    except StopIteration:
+        yield from reader
+    except csv.Error as exc:
+        raise CatalogError(f"line {reader.line_num}: {exc}") from None
+
+
+def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
+    """Load catalog CSV text and build the inverted index."""
+    rows = _rows(source)
+    header = next(rows, None)
+    if header is None:
         raise CatalogError("empty catalog file (missing header)")
     if header != CATALOG_HEADER:
         raise CatalogError(f"bad header {header!r}, expected {CATALOG_HEADER!r}")
     catalog = Catalog()
     index = InvertedIndex()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(CATALOG_HEADER):
@@ -152,6 +156,8 @@ def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
             raise CatalogError(f"line {lineno}: id must be positive")
         if not name:
             raise CatalogError(f"line {lineno}: empty name")
+        if _CONTROL_RE.search(name) or _CONTROL_RE.search(category):
+            raise CatalogError(f"line {lineno}: control character in name or category")
         attributes = []
         if attrs_field:
             for pair in attrs_field.split("|"):
@@ -159,11 +165,13 @@ def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
                 if not sep:
                     raise CatalogError(f"line {lineno}: bad attribute {pair!r}")
                 attributes.append((key, value))
-        record = ProductRecord(record_id, name, category, description,
-                               tuple(attributes))
         if record_id in catalog:
             raise CatalogError(f"line {lineno}: duplicate record id {record_id}")
-        _add_record(catalog, index, record)
+        record = ProductRecord(record_id, name, category, description,
+                               tuple(attributes))
+        catalog.records[record_id] = record
+        for term in index_terms(record):
+            index.post(term, record_id)
     return catalog, index
 
 
@@ -187,16 +195,8 @@ def execute(q: StructuredQuery, catalog: Catalog, index: InvertedIndex) -> Resul
     items = []
     for score, rid in scored:
         record = records[rid]
-        items.append(ResultItem(rid, record.name, record.category, score, matched))
+        items.append(ResultItem(rid, record.name, record.category, score))
     return ResultSet(tuple(items), q, matched)
-
-
-def update_index(catalog: Catalog, index: InvertedIndex,
-                 new_records: list[ProductRecord]) -> tuple[Catalog, InvertedIndex]:
-    """Append records and extend postings; duplicate ids are an error."""
-    for record in new_records:
-        _add_record(catalog, index, record)
-    return catalog, index
 
 
 def save_index_text(index: InvertedIndex) -> str:

@@ -1,7 +1,10 @@
 import io
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnlsearch.cli import (_build_arg_parser, main, run_batch, run_repl,
                            sample_catalog_path)
@@ -143,6 +146,15 @@ class TestBatch:
         assert (code, err) == (0, "")
         assert out == plain
 
+    def test_control_character_in_catalog_name_exit_1(self, tmp_path):
+        catalog = tmp_path / "cat.csv"
+        catalog.write_text('id,name,category,description,attributes\n'
+                           '1,"Hex\nBolt",fasteners,,\n', encoding="utf-8")
+        code, out, err = batch_run(tmp_path, ["bolt"], "--format", "tsv",
+                                   "--catalog", str(catalog))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: control character in name or category\n"
+
     def test_explain_lists_every_token_once(self, tmp_path):
         code, out, _ = batch_run(tmp_path, ["She needs bolt M8."], "--explain")
         tokens_block = out.split("path:")[0]
@@ -187,6 +199,12 @@ class TestRepl:
         _, lf_out, _ = self.run("I need bolt\n:quit\n")
         assert (code, err) == (0, "")
         assert crlf_out == lf_out
+
+    def test_carriage_return_inside_line(self):
+        code, out, err = self.run("I need bolt\rx\nbolt\n:quit\n")
+        assert code == 0
+        assert err == "input: error: statement line must not contain newlines\n"
+        assert "Query: bolt" in out
 
     def test_unwritable_save_index_ends_session(self, tmp_path):
         target = tmp_path / "no_such_dir" / "index.tsv"
@@ -240,3 +258,69 @@ class TestCustomFiles:
                                  "--grammar", str(gfile), "--override-jk")
         assert code == 0
         assert "Query: I find bolt" in out
+
+
+# pieces that mean something to one of the input formats: lexicon words,
+# CSV quoting and separators, attribute and edge syntax, comments,
+# punctuation, line ends and a few control and non-ASCII characters
+PIECES = st.sampled_from([
+    "I", "need", "she", "is", "looking for", "find", "bolt", "m8", "1", "2",
+    " ", ",", '"', "|", "=", "#", "->", "!override-jk", "\t", "\r", "\n",
+    "\r\n", ".", "\x00", "\x0b", "\x85", "\u2028", "é", "İ",
+    "START", "A", "D", "K", "END",
+])
+FUZZ_TEXT = st.one_of(st.lists(PIECES, max_size=16).map("".join),
+                      st.text(max_size=20))
+CATALOG_ROW = st.builds("{},{},{},{},{}\n".format,
+                        st.integers(-1, 4), FUZZ_TEXT, FUZZ_TEXT, FUZZ_TEXT,
+                        FUZZ_TEXT)
+# arbitrary text for one file: junk alone, or after the file's own header
+# or default content
+FUZZED_FILE = {
+    "catalog": st.one_of(
+        st.lists(CATALOG_ROW, max_size=4).map(
+            lambda rows: "id,name,category,description,attributes\n" + "".join(rows)),
+        FUZZ_TEXT),
+    "lexicon": st.one_of(FUZZ_TEXT.map(lambda junk: DEFAULT_LEXICON_TEXT + junk),
+                         FUZZ_TEXT),
+    "grammar": st.one_of(FUZZ_TEXT.map(lambda junk: DEFAULT_GRAMMAR_TEXT + junk),
+                         FUZZ_TEXT),
+}
+
+
+class TestWholeCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           fuzzed=st.sets(st.sampled_from(sorted(FUZZED_FILE))),
+           statements=st.lists(FUZZ_TEXT, max_size=4).map("\n".join),
+           batch=st.booleans(),
+           fmt=st.sampled_from(["text", "sql", "triples", "tsv"]),
+           explain=st.booleans())
+    def test_main_never_raises(self, data, fuzzed, statements, batch, fmt, explain):
+        # files not fuzzed are the sample catalog and the embedded
+        # lexicon and grammar, so statements often reach the pipeline
+        with tempfile.TemporaryDirectory() as tmp:
+            def put(name, text):
+                path = Path(tmp) / name
+                path.write_text(text, encoding="utf-8", newline="")
+                return str(path)
+
+            catalog = sample_catalog_path()
+            if "catalog" in fuzzed:
+                catalog = put("catalog.csv", data.draw(FUZZED_FILE["catalog"]))
+            argv = ["--catalog", catalog, "--format", fmt]
+            for name in ("lexicon", "grammar"):
+                if name in fuzzed:
+                    argv += [f"--{name}", put(name, data.draw(FUZZED_FILE[name]))]
+            if batch:
+                argv += ["--batch", put("batch.txt", statements)]
+            if explain:
+                argv.append("--explain")
+            saved = sys.stdin, sys.stdout, sys.stderr
+            sys.stdin = io.StringIO(statements)
+            sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+            try:
+                code = main(argv)
+            finally:
+                sys.stdin, sys.stdout, sys.stderr = saved
+        assert code in (0, 1, 2)

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from cnlsearch.grammar import (DEFAULT_GRAMMAR_TEXT, GrammarError, ParseError,
                                accepts_sequence, agreement_of, default_graph,
                                enumerate_patterns, load_graph, parse)
-from cnlsearch.lexicon import tokenize
+from cnlsearch.lexicon import WORD_CLASSES, tokenize
 
 DEFAULT_EDGES = {
     ("START", c) for c in "ABCDEFGHIJK"
@@ -126,6 +128,27 @@ class TestParse:
         a1 = parse_line("We are looking for pump", lex, graph)
         a2 = parse_line("We are looking for pump", lex, graph)
         assert a1 == a2
+
+
+class TestParseMatchesAcceptsSequence:
+    def test_every_class_sequence_up_to_4(self, lex, graph):
+        # one lexicon word per class, then a keyword: parse must accept
+        # exactly the statements whose class path accepts_sequence accepts
+        word = {}
+        for lexeme, tag in lex.entries.items():
+            word.setdefault(tag, lexeme)
+        for k in range(5):
+            for seq in itertools.product(WORD_CLASSES, repeat=k):
+                line = " ".join([word[c] for c in seq] + ["bolt"])
+                ts = tokenize(line, lex)
+                assert [t.cls for t in ts.tokens if t.cls != "WS"] == [
+                    *seq, "UNKNOWN", "END_OF_INPUT"]
+                try:
+                    parse(ts, graph)
+                    accepted = True
+                except ParseError:
+                    accepted = False
+                assert accepted == accepts_sequence(seq + ("K",), graph), line
 
 
 class TestEnumeratePatterns:

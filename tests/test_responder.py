@@ -14,8 +14,8 @@ def make_frame(echo, items, matched="AND"):
 
 
 BOLT_ITEMS = [
-    ResultItem(1, "Hex Bolt M8", "fasteners", 1, "AND"),
-    ResultItem(4, "Bolt M8x20", "fasteners", 1, "AND"),
+    ResultItem(1, "Hex Bolt M8", "fasteners", 1),
+    ResultItem(4, "Bolt M8x20", "fasteners", 1),
 ]
 
 
@@ -78,7 +78,7 @@ class TestReconstruct:
         assert text == "Query: bolt\nResults (0):\n- no matching products\n"
 
     def test_partial_match_header(self):
-        item = ResultItem(1, "Hex Bolt M8", "fasteners", 1, "OR")
+        item = ResultItem(1, "Hex Bolt M8", "fasteners", 1)
         text = reconstruct(make_frame("bolt titanium", [item], "OR"))
         assert "Results (1, partial match):" in text
 

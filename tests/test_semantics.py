@@ -96,7 +96,7 @@ class TestResolveProperty:
     @given(objects=OBJECTS)
     def test_matches_all_pairs(self, objects):
         model = SemanticModel(
-            tuple(Statement(i, Triple("-", "unknown", obj), obj)
+            tuple(Statement(i, Triple("-", "unknown", obj))
                   for i, obj in enumerate(objects, start=1)),
             (),
         )

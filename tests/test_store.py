@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnlsearch.queries import StructuredQuery
-from cnlsearch.store import (CatalogError, ProductRecord, append_log, execute,
-                             index_terms, ingest_catalog, save_index_text,
-                             update_index)
+from cnlsearch.store import (CatalogError, append_log, execute,
+                             index_terms, ingest_catalog, save_index_text)
 
 # a small alphabet makes keys share trigrams, so the trigram filter
 # keeps candidates that verification must reject
@@ -52,6 +51,22 @@ class TestIngest:
     def test_duplicate_id(self):
         bad = SMALL_CATALOG + "1,Dup,misc,dup row,\n"
         with pytest.raises(CatalogError, match="duplicate record id 1"):
+            ingest_catalog(bad)
+
+    @pytest.mark.parametrize("row", ['1,"Hex\nBolt",f,d,', '1,Bolt,"fast\teners",d,',
+                                     '1,Bolt\x85,f,d,'])
+    def test_control_character_in_name_or_category(self, row):
+        with pytest.raises(CatalogError, match="line 2: control character"):
+            ingest_catalog(f"id,name,category,description,attributes\n{row}\n")
+
+    def test_control_character_in_description_kept(self):
+        catalog, _ = ingest_catalog(
+            'id,name,category,description,attributes\n1,Bolt,f,"a\tb",\n')
+        assert catalog[1].description == "a\tb"
+
+    def test_malformed_csv(self):
+        bad = "id,name,category,description,attributes\n1,Hex\rBolt,f,d,\n"
+        with pytest.raises(CatalogError, match="line 2: "):
             ingest_catalog(bad)
 
     def test_non_integer_id(self):
@@ -143,52 +158,17 @@ class TestLookupProperty:
     @given(records=st.lists(st.lists(WORDS, min_size=1, max_size=4),
                             min_size=1, max_size=12),
            rnd=st.randoms(use_true_random=False),
-           terms=st.lists(TERMS, min_size=1, max_size=6),
-           late_word=WORDS)
-    def test_matches_linear_scan(self, records, rnd, terms, late_word):
+           terms=st.lists(TERMS, min_size=1, max_size=6))
+    def test_matches_linear_scan(self, records, rnd, terms):
         ids = list(range(1, len(records) + 1))
         rnd.shuffle(ids)
         rows = "".join(f"{rid},{' '.join(records[rid - 1])},c,,\n" for rid in ids)
-        catalog, index = ingest_catalog(
+        _, index = ingest_catalog(
             "id,name,category,description,attributes\n" + rows)
         for term in terms:
             assert index.ids_matching(term) == linear_scan(index, term)
         for posting in index.postings.values():
             assert all(a < b for a, b in zip(posting, posting[1:]))
-        late_id = len(records) + 1
-        update_index(catalog, index,
-                     [ProductRecord(late_id, late_word, "c", "", ())])
-        assert late_id in index.ids_matching(late_word)
-        for term in terms:
-            assert index.ids_matching(term) == linear_scan(index, term)
-
-
-class TestUpdateIndex:
-    def test_add_record(self):
-        catalog, index = ingest_catalog(SMALL_CATALOG)
-        rec = ProductRecord(9, "Valve", "valves", "Ball valve", ())
-        update_index(catalog, index, [rec])
-        assert index.postings["valve"] == [9]
-        assert 9 in catalog
-
-    def test_add_nothing_is_identity(self):
-        catalog, index = ingest_catalog(SMALL_CATALOG)
-        before = {t: list(ids) for t, ids in index.postings.items()}
-        update_index(catalog, index, [])
-        assert index.postings == before
-
-    def test_existing_id_rejected(self):
-        catalog, index = ingest_catalog(SMALL_CATALOG)
-        with pytest.raises(CatalogError, match="duplicate"):
-            update_index(catalog, index, [ProductRecord(1, "Dup", "x", "", ())])
-
-    def test_rebuild_matches_incremental(self):
-        catalog, index = ingest_catalog(SMALL_CATALOG)
-        rec = ProductRecord(4, "Seal Kit", "seals", "Pump seal", ())
-        update_index(catalog, index, [rec])
-        extended = SMALL_CATALOG + "4,Seal Kit,seals,Pump seal,\n"
-        _, rebuilt = ingest_catalog(extended)
-        assert index.postings == rebuilt.postings
 
 
 class TestLogAndDump:
