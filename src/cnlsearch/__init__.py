@@ -6,9 +6,8 @@ keyword queries, executed against an inverted-index catalog, and answered
 in the user's own grammatical frame.
 """
 
-from .grammar import (Agreement, ParseError, StatementAst, SymbolTable,
-                      TransitionGraph, agreement_of, default_graph,
-                      enumerate_patterns, load_graph, parse)
+from .grammar import (ParseError, StatementAst, SymbolTable, TransitionGraph,
+                      default_graph, load_graph, parse)
 from .lexicon import (Lexicon, Token, TokenStream, default_lexicon,
                       detokenize, load_lexicon, tokenize)
 from .queries import StructuredQuery, generate_query, render_sql
@@ -21,9 +20,8 @@ from .store import (Catalog, InvertedIndex, ProductRecord, ResultItem,
                     save_index_text)
 
 __all__ = [
-    "Agreement", "ParseError", "StatementAst", "SymbolTable",
-    "TransitionGraph", "agreement_of", "default_graph", "enumerate_patterns",
-    "load_graph", "parse",
+    "ParseError", "StatementAst", "SymbolTable", "TransitionGraph",
+    "default_graph", "load_graph", "parse",
     "Lexicon", "Token", "TokenStream", "default_lexicon", "detokenize",
     "load_lexicon", "tokenize",
     "StructuredQuery", "generate_query", "render_sql",

@@ -5,6 +5,7 @@ format selection, and wiring of the pipeline modules.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -53,8 +54,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                    help="print the embedded lexicon file and exit")
     p.add_argument("--dump-grammar", action="store_true",
                    help="print the embedded grammar file and exit")
-    p.add_argument("--override-jk", action="store_true",
-                   help="permit pronoun -> J edges in a user-supplied grammar")
     return p
 
 
@@ -75,7 +74,7 @@ def _load_pipeline(args: argparse.Namespace) -> Pipeline:
         lex = lexicon_mod.default_lexicon()
     if args.grammar:
         with open(args.grammar, encoding="utf-8") as fh:
-            graph = grammar_mod.load_graph(fh.read(), args.override_jk)
+            graph = grammar_mod.load_graph(fh.read())
     else:
         graph = grammar_mod.default_graph()
     if not args.catalog:
@@ -154,8 +153,8 @@ def _side_outputs(args: argparse.Namespace, pipe: Pipeline,
 def _run_statements(args: argparse.Namespace, pipe: Pipeline,
                     lines: list[tuple[str, str]], out, err) -> int:
     """Run the pipeline over (label, statement) pairs; returns the exit
-    code: EXIT_PARSE when a statement did not parse, EXIT_CONFIG when an
-    output file could not be written."""
+    code: EXIT_PARSE when a statement did not parse, EXIT_CONFIG when the
+    output or an output file could not be written."""
     asts: list[StatementAst] = []
     tables: list[SymbolTable] = []
     ok = True
@@ -183,8 +182,9 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
             answers[q.terms] = execute(q, pipe.catalog, pipe.index)
         rs = answers[q.terms]
         results.append(ResultSet(rs.items, q, rs.matched))
-    _emit(args, out, model, asts, tables, queries, results)
     try:
+        _emit(args, out, model, asts, tables, queries, results)
+        out.flush()
         _side_outputs(args, pipe, model, results)
     except OSError as exc:
         err.write(f"error: {exc}\n")
@@ -216,23 +216,23 @@ def run_repl(args: argparse.Namespace, stdin=None, out=None, err=None) -> int:
     err = err or sys.stderr
     try:
         pipe = _load_pipeline(args)
+        while True:
+            out.write(PROMPT)
+            out.flush()
+            raw = stdin.readline()
+            if raw == "":
+                out.write("\n")
+                return EXIT_OK
+            line = raw.rstrip("\r\n")
+            if line == ":quit":
+                return EXIT_OK
+            if not line.strip():
+                continue
+            if _run_statements(args, pipe, [("input", line)], out, err) == EXIT_CONFIG:
+                return EXIT_CONFIG
     except (OSError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    while True:
-        out.write(PROMPT)
-        out.flush()
-        raw = stdin.readline()
-        if raw == "":
-            out.write("\n")
-            return EXIT_OK
-        line = raw.rstrip("\r\n")
-        if line == ":quit":
-            return EXIT_OK
-        if not line.strip():
-            continue
-        if _run_statements(args, pipe, [("input", line)], out, err) == EXIT_CONFIG:
-            return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -243,9 +243,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump_grammar:
         sys.stdout.write(grammar_mod.DEFAULT_GRAMMAR_TEXT)
         return EXIT_OK
-    if args.batch:
-        return run_batch(args)
-    return run_repl(args)
+    code = run_batch(args) if args.batch else run_repl(args)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout is unwritable (the run has said so): drop what is left in
+        # its buffer, so that the flush at interpreter exit does not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

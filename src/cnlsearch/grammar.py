@@ -1,4 +1,4 @@
-"""Transition-graph grammar: loading, statement parsing, path enumeration.
+"""Transition-graph grammar: loading and statement parsing.
 
 Sentence acceptance is defined by a directed graph over statement classes
 START, A..K, END.  A statement is grammatical when its class sequence,
@@ -94,7 +94,6 @@ class StatementAst:
     auxiliary: Token | None
     verb: Token | None
     keyword_phrase: tuple[Token, ...]
-    clause_kind: str  # simple | continuous | imperative | bare
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,6 @@ class SymbolTable:
     rows: tuple[SymbolRow, ...]
 
 
-@dataclass(frozen=True)
-class Agreement:
-    tense: str  # present_simple | present_continuous | imperative | none
-    person: str  # first | third | none
-    number: str  # singular | plural | none
-
-
 def _reachable(graph: frozenset[tuple[str, str]], start: str) -> set[str]:
     seen = {start}
     stack = [start]
@@ -129,15 +121,14 @@ def _reachable(graph: frozenset[tuple[str, str]], start: str) -> set[str]:
     return seen
 
 
-def load_graph(source: str, allow_pronoun_imperative: bool = False) -> TransitionGraph:
+def load_graph(source: str) -> TransitionGraph:
     """Parse grammar file text (one ``FROM -> TO`` edge per line).
 
     ``#`` starts a comment line; a ``!override-jk`` pragma line lifts the
-    pronoun-before-imperative and mandatory-keyword checks, as does the
-    allow_pronoun_imperative flag.
+    pronoun-before-imperative and mandatory-keyword checks.
     """
     edges: set[tuple[str, str]] = set()
-    override = allow_pronoun_imperative
+    override = False
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -260,52 +251,5 @@ def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTabl
     subject = next((t for t in clause if t.cls in PRONOUN_CLASSES), None)
     auxiliary = next((t for t in clause if t.cls in AUX_CLASSES), None)
     verb = next((t for t in clause if t.cls in VERB_CLASSES), None)
-    if verb is not None and verb.cls == "I":
-        clause_kind = "continuous"
-    elif verb is not None and verb.cls in ("D", "E"):
-        clause_kind = "simple"
-    elif verb is not None:
-        clause_kind = "imperative"
-    else:
-        clause_kind = "bare"
-
-    ast = StatementAst(subject, auxiliary, verb, tuple(keyword), clause_kind)
+    ast = StatementAst(subject, auxiliary, verb, tuple(keyword))
     return ast, SymbolTable(tuple(rows))
-
-
-def enumerate_patterns(g: TransitionGraph, max_len: int) -> set[tuple[str, ...]]:
-    """All START-to-END paths with at most max_len interior nodes."""
-    out: set[tuple[str, ...]] = set()
-
-    def extend(node: str, path: tuple[str, ...]) -> None:
-        if g.has_edge(node, "END"):
-            out.add(path)
-        if len(path) == max_len:
-            return
-        for succ in g.successors(node):
-            if succ != "END":
-                extend(succ, path + (succ,))
-
-    if max_len >= 1:
-        extend("START", ())
-        out.discard(())
-    return out
-
-
-def agreement_of(ast: StatementAst) -> Agreement:
-    """Tense, person and number features of an accepted statement."""
-    tense = {
-        "continuous": "present_continuous",
-        "simple": "present_simple",
-        "imperative": "imperative",
-        "bare": "none",
-    }[ast.clause_kind]
-    if ast.subject is None:
-        return Agreement(tense, "none", "none")
-    if ast.subject.cls == "A":
-        return Agreement(tense, "first", "singular")
-    if ast.subject.cls == "C":
-        return Agreement(tense, "third", "singular")
-    # class B covers both "we" (first person) and "they" (third person)
-    person = "first" if ast.subject.normalized == "we" else "third"
-    return Agreement(tense, person, "plural")

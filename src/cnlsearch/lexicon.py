@@ -15,11 +15,18 @@ WORD_CLASSES = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 # whitespace, punctuation, newline and the end-of-input sentinel.
 TOKEN_CLASSES = WORD_CLASSES + ("UNKNOWN", "WS", "PUNCT", "NEWLINE", "END_OF_INPUT")
 
-PUNCT_CHARS = frozenset(".,?!;:")
-
 # A word is a maximal run of letters, digits, hyphens or underscores, so
 # part numbers like "M8" or "M8x20" stay single tokens.
-_WORD_RE = re.compile(r"[A-Za-z0-9_-]+")
+_WORD_CHARS = "A-Za-z0-9_-"
+_WORD_RE = re.compile(f"[{_WORD_CHARS}]+")
+
+# A line splits into pieces: whitespace runs, single punctuation marks,
+# words, and runs of any other characters.  The four alternatives cover
+# every character, so the pieces tile the line.
+_PIECE_RE = re.compile(
+    rf"(?P<WS>\s+)|(?P<PUNCT>[.,?!;:])|(?P<WORD>[{_WORD_CHARS}]+)"
+    rf"|(?P<UNKNOWN>[^\s.,?!;:{_WORD_CHARS}]+)"
+)
 
 DEFAULT_LEXICON_TEXT = """\
 # default closed-class lexicon: <lexeme><TAB><class>
@@ -119,80 +126,45 @@ def default_lexicon() -> Lexicon:
     return load_lexicon(DEFAULT_LEXICON_TEXT)
 
 
-def _words_from(line: str, start: int, limit: int) -> list[tuple[int, int]]:
-    # Spans of up to `limit` consecutive words from `start`, where only
-    # whitespace may separate them (a phrase never crosses punctuation).
-    spans: list[tuple[int, int]] = []
-    pos = start
-    while len(spans) < limit:
-        m = _WORD_RE.match(line, pos)
-        if m is None:
-            break
-        spans.append((m.start(), m.end()))
-        pos = m.end()
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-        if pos == m.end():  # next char is not whitespace: phrase ends
-            break
-    return spans
-
-
 def tokenize(line: str, lex: Lexicon) -> TokenStream:
     """Split one statement line into classed tokens, longest match first.
 
-    At each word position the longest lexicon phrase (case-insensitive,
-    up to the lexicon's max phrase length) wins; unmatched words become
-    UNKNOWN.  Whitespace runs are WS tokens and ``. , ? ! ; :`` are PUNCT
-    tokens, so every input character lands in exactly one token span.
+    At each word the longest lexicon phrase (case-insensitive, words
+    separated by one whitespace run, up to the lexicon's max phrase
+    length) wins; unmatched words become UNKNOWN.  Whitespace runs are WS
+    tokens and ``. , ? ! ; :`` are PUNCT tokens, so every input character
+    lands in exactly one token span.
     """
     if "\n" in line or "\r" in line:
         raise ValueError("statement line must not contain newlines")
+    pieces = [(m.lastgroup, m.start(), m.end()) for m in _PIECE_RE.finditer(line)]
+    limit = lex.max_phrase_len or 1
     tokens: list[Token] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            j = i
-            while j < n and line[j].isspace():
-                j += 1
-            tokens.append(Token(line[i:j], line[i:j], "WS", (i, j)))
-            i = j
-        elif ch in PUNCT_CHARS:
-            tokens.append(Token(ch, ch, "PUNCT", (i, i + 1)))
-            i += 1
-        elif _WORD_RE.match(line, i):
-            word_spans = _words_from(line, i, lex.max_phrase_len or 1)
-            matched = False
-            for k in range(len(word_spans), 0, -1):
-                phrase = " ".join(
-                    line[a:b].lower() for a, b in word_spans[:k]
-                )
-                tag = lex.class_of(phrase)
-                if tag is not None:
-                    end = word_spans[k - 1][1]
-                    tokens.append(Token(line[i:end], phrase, tag, (i, end)))
-                    i = end
-                    matched = True
-                    break
-            if not matched:
-                end = word_spans[0][1]
-                tokens.append(
-                    Token(line[i:end], line[i:end].lower(), "UNKNOWN", (i, end))
-                )
-                i = end
-        else:
-            # run of characters outside word/whitespace/punctuation classes
-            j = i
-            while j < n and not (
-                line[j].isspace()
-                or line[j] in PUNCT_CHARS
-                or _WORD_RE.match(line, j)
-            ):
-                j += 1
-            tokens.append(Token(line[i:j], line[i:j].lower(), "UNKNOWN", (i, j)))
-            i = j
-    tokens.append(Token("", "", "END_OF_INPUT", (n, n)))
+    p = 0
+    while p < len(pieces):
+        kind, start, end = pieces[p]
+        if kind != "WORD":
+            text = line[start:end]
+            tokens.append(Token(text, text.lower(), kind, (start, end)))
+            p += 1
+            continue
+        words = [line[start:end].lower()]
+        ends = [end]
+        q = p + 2
+        while (len(words) < limit and q < len(pieces)
+               and pieces[q - 1][0] == "WS" and pieces[q][0] == "WORD"):
+            words.append(line[pieces[q][1]:pieces[q][2]].lower())
+            ends.append(pieces[q][2])
+            q += 2
+        for k in range(len(words), 0, -1):
+            phrase = " ".join(words[:k])
+            tag = lex.class_of(phrase)
+            if tag is not None or k == 1:
+                break
+        end = ends[k - 1]
+        tokens.append(Token(line[start:end], phrase, tag or "UNKNOWN", (start, end)))
+        p += 2 * k - 1
+    tokens.append(Token("", "", "END_OF_INPUT", (len(line), len(line))))
     return TokenStream(tuple(tokens), line)
 
 

@@ -58,7 +58,4 @@ def reconstruct(frame: ResponseFrame) -> str:
 
 def present(texts: list[str], sink: IO[str]) -> None:
     """Write responses in order, separated by one blank line."""
-    try:
-        sink.write("\n".join(texts))
-    except OSError as exc:
-        raise OSError(f"cannot write response to sink: {exc}") from exc
+    sink.write("\n".join(texts))

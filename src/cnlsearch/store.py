@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import re
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -68,10 +68,8 @@ class InvertedIndex:
                 self.grams.setdefault(gram, []).append(term)
         elif record_id > ids[-1]:  # ingest order
             ids.append(record_id)
-        else:
-            pos = bisect_left(ids, record_id)
-            if ids[pos] != record_id:
-                ids.insert(pos, record_id)
+        else:  # ids are unique and a record posts each term once
+            insort(ids, record_id)
 
     def ids_matching(self, term: str) -> set[int]:
         # substring semantics, mirroring the LIKE '%term%' rendering. A key

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +27,16 @@ def batch_run(tmp_path, lines, *extra):
     out, err = io.StringIO(), io.StringIO()
     code = run_batch(args, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+class FullSink(io.StringIO):
+    """An output that cannot be written to, like a stdout on a full disk."""
+
+    def write(self, s):
+        raise OSError(28, "No space left on device")
+
+
+FULL_ERROR = "error: [Errno 28] No space left on device\n"
 
 
 class TestBatch:
@@ -138,6 +150,15 @@ class TestBatch:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "sql", "triples", "tsv"])
+    def test_unwritable_stdout_exit_1(self, tmp_path, fmt):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("I need bolt\nbolt\n", encoding="utf-8")
+        args = make_args("--batch", str(batch), "--format", fmt)
+        err = io.StringIO()
+        assert run_batch(args, out=FullSink(), err=err) == 1
+        assert err.getvalue() == FULL_ERROR
+
     def test_bom_catalog(self, tmp_path):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(sample_catalog_path()).read_bytes())
@@ -214,6 +235,12 @@ class TestRepl:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unwritable_stdout_ends_session(self):
+        err = io.StringIO()
+        code = run_repl(make_args(), stdin=io.StringIO("bolt\nbolt\n:quit\n"),
+                        out=FullSink(), err=err)
+        assert (code, err.getvalue()) == (1, FULL_ERROR)
+
     def test_eof_exits_cleanly(self):
         code, out, _ = self.run("bolt\n")
         assert code == 0
@@ -223,6 +250,22 @@ class TestRepl:
         _, repl_out, _ = self.run("She is looking for valve\n:quit\n")
         body = repl_out.removeprefix("isoas> ").removesuffix("isoas> ")
         assert body == batch_out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("mode", ["batch", "repl"])
+def test_stdout_on_full_device_exit_1(mode):
+    # a buffered stdout fails only when flushed, at the latest when the
+    # interpreter exits: the process must still end with one error line
+    argv = [sys.executable, "-m", "cnlsearch.cli", "--catalog", sample_catalog_path()]
+    if mode == "batch":
+        argv += ["--batch", str(Path(__file__).parent / "fixtures" / "sample_batch.txt")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, input="bolt\n", stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, FULL_ERROR)
 
 
 class TestDumps:
@@ -252,10 +295,11 @@ class TestCustomFiles:
         assert "pronoun_before_imperative" in err
 
     def test_override_jk_flag(self, tmp_path):
+        # the override is a line in the grammar file it changes
         gfile = tmp_path / "g.txt"
-        gfile.write_text(DEFAULT_GRAMMAR_TEXT + "A -> J\n", encoding="utf-8")
-        code, out, _ = batch_run(tmp_path, ["I find bolt"],
-                                 "--grammar", str(gfile), "--override-jk")
+        gfile.write_text(DEFAULT_GRAMMAR_TEXT + "!override-jk\nA -> J\n",
+                         encoding="utf-8")
+        code, out, _ = batch_run(tmp_path, ["I find bolt"], "--grammar", str(gfile))
         assert code == 0
         assert "Query: I find bolt" in out
 

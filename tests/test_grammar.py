@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from cnlsearch.grammar import (DEFAULT_GRAMMAR_TEXT, GrammarError, ParseError,
-                               accepts_sequence, agreement_of, default_graph,
-                               enumerate_patterns, load_graph, parse)
+                               accepts_sequence, load_graph, parse)
 from cnlsearch.lexicon import WORD_CLASSES, tokenize
 
 DEFAULT_EDGES = {
@@ -65,16 +64,13 @@ class TestParse:
         assert ast.auxiliary.normalized == "am"
         assert ast.verb.normalized == "looking for"
         assert [t.normalized for t in ast.keyword_phrase] == ["bolt"]
-        assert ast.clause_kind == "continuous"
 
     def test_third_singular_simple(self, lex, graph):
         ast, _ = parse_line("He needs pump seal", lex, graph)
         assert [t.normalized for t in ast.keyword_phrase] == ["pump", "seal"]
-        assert ast.clause_kind == "simple"
 
     def test_bare_keyword(self, lex, graph):
         ast, _ = parse_line("bolt M8", lex, graph)
-        assert ast.clause_kind == "bare"
         assert ast.subject is None and ast.verb is None
         assert [t.normalized for t in ast.keyword_phrase] == ["bolt", "m8"]
 
@@ -149,50 +145,3 @@ class TestParseMatchesAcceptsSequence:
                 except ParseError:
                     accepted = False
                 assert accepted == accepts_sequence(seq + ("K",), graph), line
-
-
-class TestEnumeratePatterns:
-    def test_short_patterns(self, graph):
-        pats = enumerate_patterns(graph, 2)
-        for p in [("K",), ("D", "K"), ("E", "K"), ("J", "K"), ("I", "K")]:
-            assert p in pats
-
-    def test_paper_sequences(self, graph):
-        pats = enumerate_patterns(graph, 4)
-        for p in [("A", "F", "I", "K"), ("B", "G", "I", "K"), ("C", "H", "I", "K"),
-                  ("A", "D", "K"), ("B", "D", "K"), ("C", "E", "K")]:
-            assert p in pats
-
-    def test_zero_length(self, graph):
-        assert enumerate_patterns(graph, 0) == set()
-
-    def test_matches_accepts_sequence(self, graph):
-        pats = enumerate_patterns(graph, 3)
-        for p in pats:
-            assert accepts_sequence(p, graph)
-
-
-class TestAgreement:
-    def test_third_singular_continuous(self, lex, graph):
-        ast, _ = parse_line("She is looking for bolt", lex, graph)
-        a = agreement_of(ast)
-        assert (a.tense, a.person, a.number) == ("present_continuous", "third", "singular")
-
-    def test_first_plural_simple(self, lex, graph):
-        ast, _ = parse_line("We need bolt", lex, graph)
-        a = agreement_of(ast)
-        assert (a.tense, a.person, a.number) == ("present_simple", "first", "plural")
-
-    def test_they_is_third_plural(self, lex, graph):
-        ast, _ = parse_line("They want bolt", lex, graph)
-        a = agreement_of(ast)
-        assert (a.person, a.number) == ("third", "plural")
-
-    def test_bare(self, lex, graph):
-        ast, _ = parse_line("bolt", lex, graph)
-        a = agreement_of(ast)
-        assert (a.tense, a.person, a.number) == ("none", "none", "none")
-
-    def test_imperative(self, lex, graph):
-        ast, _ = parse_line("find bolt", lex, graph)
-        assert agreement_of(ast).tense == "imperative"

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cnlsearch.lexicon import (DEFAULT_LEXICON_TEXT, LexiconError, TOKEN_CLASSES,
-                               WORD_CLASSES, default_lexicon, detokenize,
+                               WORD_CLASSES, Token, default_lexicon, detokenize,
                                load_lexicon, tokenize)
 
 
@@ -122,3 +124,98 @@ class TestRoundTrip:
 
 def test_default_text_loads_cleanly():
     assert len(load_lexicon(DEFAULT_LEXICON_TEXT)) >= 14
+
+
+# Frozen reference: the character-by-character tokenizer that the single
+# regex scan replaced.  It shares no code with cnlsearch.lexicon.
+_REF_PUNCT = frozenset(".,?!;:")
+_REF_WORD = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _ref_words_from(line, start, limit):
+    spans = []
+    pos = start
+    while len(spans) < limit:
+        m = _REF_WORD.match(line, pos)
+        if m is None:
+            break
+        spans.append((m.start(), m.end()))
+        pos = m.end()
+        while pos < len(line) and line[pos].isspace():
+            pos += 1
+        if pos == m.end():
+            break
+    return spans
+
+
+def reference_tokenize(line, lex):
+    tokens = []
+    i, n = 0, len(line)
+    while i < n:
+        ch = line[i]
+        if ch.isspace():
+            j = i
+            while j < n and line[j].isspace():
+                j += 1
+            tokens.append(Token(line[i:j], line[i:j], "WS", (i, j)))
+            i = j
+        elif ch in _REF_PUNCT:
+            tokens.append(Token(ch, ch, "PUNCT", (i, i + 1)))
+            i += 1
+        elif _REF_WORD.match(line, i):
+            word_spans = _ref_words_from(line, i, lex.max_phrase_len or 1)
+            for k in range(len(word_spans), 0, -1):
+                phrase = " ".join(line[a:b].lower() for a, b in word_spans[:k])
+                tag = lex.class_of(phrase)
+                if tag is not None:
+                    end = word_spans[k - 1][1]
+                    tokens.append(Token(line[i:end], phrase, tag, (i, end)))
+                    i = end
+                    break
+            else:
+                end = word_spans[0][1]
+                tokens.append(Token(line[i:end], line[i:end].lower(), "UNKNOWN", (i, end)))
+                i = end
+        else:
+            j = i
+            while j < n and not (line[j].isspace() or line[j] in _REF_PUNCT
+                                 or _REF_WORD.match(line, j)):
+                j += 1
+            tokens.append(Token(line[i:j], line[i:j].lower(), "UNKNOWN", (i, j)))
+            i = j
+    tokens.append(Token("", "", "END_OF_INPUT", (n, n)))
+    return tokens
+
+
+# a lexicon with three-word phrases whose prefixes are entries too, so a
+# scan that stops at a shorter phrase than the longest one gives other tokens
+DEEP_LEXICON_TEXT = "look\tJ\nlook for\tD\nlook for it\tI\nfor it all\tI\ni\tA\n"
+
+WHITESPACE = [" ", "  ", "\t", "\x1c", "\u3000", "\x0b", "\x85", " \t"]
+
+
+@st.composite
+def split_phrase(draw):
+    """A lexicon phrase with a whitespace run of its own in each gap."""
+    first, *rest = draw(st.sampled_from([
+        "look for", "look for it", "for it all", "search for", "searching for",
+        "LOOKING FOR", "Looks for", "look for it all"])).split(" ")
+    return first + "".join(draw(st.sampled_from(WHITESPACE)) + w for w in rest)
+
+
+# split lexicon phrases, lexicon words, whitespace, punctuation, ASCII
+# and non-ASCII letters, and symbols
+TOKENIZER_PIECES = st.one_of(split_phrase(), st.sampled_from([
+    "I", "he", "She", "need", "NEEDS", "look", "for", "search", "it", "bolt",
+    "M8x20", "m_8", "-", "_", *WHITESPACE, "\u2028",
+    ".", ",", "?", "!", ";", ":", "é", "ß", "İ", "Ω", "@", "$%", "\x00", "'",
+]))
+
+
+class TestTokenizeMatchesReference:
+    @given(pieces=st.lists(TOKENIZER_PIECES, max_size=16),
+           deep=st.booleans())
+    def test_token_for_token(self, pieces, deep):
+        lex = load_lexicon(DEEP_LEXICON_TEXT) if deep else default_lexicon()
+        line = "".join(pieces)
+        assert list(tokenize(line, lex).tokens) == reference_tokenize(line, lex)
