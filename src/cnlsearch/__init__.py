@@ -11,13 +11,12 @@ from .grammar import (ParseError, StatementAst, SymbolTable, TransitionGraph,
 from .lexicon import (Lexicon, Token, TokenStream, default_lexicon,
                       detokenize, load_lexicon, tokenize)
 from .queries import StructuredQuery, generate_query, render_sql
-from .responder import (ResponseFrame, build_echo, present, prioritize,
-                        reconstruct)
+from .responder import (AnswerLines, ResponseFrame, build_echo, present,
+                        prioritize, reconstruct)
 from .semantics import (RelationLink, SemanticModel, Triple, build_model,
                         export_triples, resolve)
-from .store import (Catalog, InvertedIndex, ProductRecord, ResultItem,
-                    ResultSet, append_log, execute, ingest_catalog,
-                    save_index_text)
+from .store import (Catalog, InvertedIndex, ProductRecord, ResultSet,
+                    append_log, execute, ingest_catalog, save_index_text)
 
 __all__ = [
     "ParseError", "StatementAst", "SymbolTable", "TransitionGraph",
@@ -25,10 +24,11 @@ __all__ = [
     "Lexicon", "Token", "TokenStream", "default_lexicon", "detokenize",
     "load_lexicon", "tokenize",
     "StructuredQuery", "generate_query", "render_sql",
-    "ResponseFrame", "build_echo", "present", "prioritize", "reconstruct",
+    "AnswerLines", "ResponseFrame", "build_echo", "present", "prioritize",
+    "reconstruct",
     "RelationLink", "SemanticModel", "Triple", "build_model",
     "export_triples", "resolve",
-    "Catalog", "InvertedIndex", "ProductRecord", "ResultItem", "ResultSet",
+    "Catalog", "InvertedIndex", "ProductRecord", "ResultSet",
     "append_log", "execute", "ingest_catalog", "save_index_text",
 ]
 

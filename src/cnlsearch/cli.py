@@ -15,7 +15,8 @@ from . import lexicon as lexicon_mod
 from .grammar import ParseError, StatementAst, SymbolTable, TransitionGraph, parse
 from .lexicon import Lexicon, tokenize
 from .queries import StructuredQuery, generate_query, render_sql
-from .responder import ResponseFrame, build_echo, present, prioritize, reconstruct
+from .responder import (AnswerLines, ResponseFrame, build_echo, present,
+                        prioritize, reconstruct)
 from .semantics import SemanticModel, build_model, export_triples, resolve
 from .store import (Catalog, CatalogError, InvertedIndex, ResultSet,
                     append_log, execute, ingest_catalog, save_index_text)
@@ -64,6 +65,7 @@ class Pipeline:
     graph: TransitionGraph
     catalog: Catalog
     index: InvertedIndex
+    lines: AnswerLines  # of the catalog's records, filled as they are shown
 
 
 def _load_pipeline(args: argparse.Namespace) -> Pipeline:
@@ -81,7 +83,7 @@ def _load_pipeline(args: argparse.Namespace) -> Pipeline:
         raise CatalogError("--catalog is required")
     with open(args.catalog, encoding="utf-8-sig", newline="") as fh:
         catalog, index = ingest_catalog(fh.read())
-    return Pipeline(lex, graph, catalog, index)
+    return Pipeline(lex, graph, catalog, index, AnswerLines(catalog.records))
 
 
 def _format_parse_error(label: str, err: ParseError) -> str:
@@ -110,7 +112,7 @@ def _explain(out, ast: StatementAst, table: SymbolTable,
     out.write(f"sql: {render_sql(q)}\n")
 
 
-def _emit(args: argparse.Namespace, out, model: SemanticModel,
+def _emit(args: argparse.Namespace, out, pipe: Pipeline, model: SemanticModel,
           asts: list[StatementAst], tables: list[SymbolTable],
           queries: list[StructuredQuery], results: list[ResultSet]) -> None:
     if args.explain:
@@ -118,17 +120,18 @@ def _emit(args: argparse.Namespace, out, model: SemanticModel,
             _explain(out, ast, table, q, model)
     if args.format == "text":
         frames = [ResponseFrame(build_echo(ast), rs) for ast, rs in zip(asts, results)]
-        present([reconstruct(f) for f in prioritize(frames)], out)
+        present([reconstruct(f, pipe.lines) for f in prioritize(frames)], out)
     elif args.format == "sql":
         for q in queries:
             out.write(f"-- statement {q.statement_id}\n{render_sql(q)}\n")
     elif args.format == "triples":
         out.write(export_triples(model))
     else:  # tsv
+        records = pipe.catalog.records
         for rs in results:
-            for item in rs.items:
-                out.write(f"{rs.query.statement_id}\t{item.record_id}\t"
-                          f"{item.name}\t{item.score}\t{rs.matched}\n")
+            sid = rs.query.statement_id
+            for rid, score in zip(rs.items, rs.scores):
+                out.write(f"{sid}\t{rid}\t{records[rid].name}\t{score}\t{rs.matched}\n")
 
 
 def _side_outputs(args: argparse.Namespace, pipe: Pipeline,
@@ -141,10 +144,18 @@ def _side_outputs(args: argparse.Namespace, pipe: Pipeline,
         for r in model.relations:
             for sid in (r.from_id, r.to_id):
                 rels.setdefault(sid, []).append((r.from_id, r.to_id))
-        for rs in results:
-            sid = rs.query.statement_id
-            append_log(args.log, sid, rs.query.terms, rs.matched,
-                       [item.record_id for item in rs.items], rels.get(sid, []))
+        # statements with equal terms share one answer: join its ids once
+        joined: dict[tuple[str, ...], str] = {}
+        try:
+            with open(args.log, "a", encoding="utf-8", newline="") as log:
+                for rs in results:
+                    terms, sid = rs.query.terms, rs.query.statement_id
+                    if terms not in joined:
+                        joined[terms] = ",".join(map(str, rs.items))
+                    append_log(log, sid, terms, rs.matched, joined[terms],
+                               rels.get(sid, []))
+        except OSError as exc:
+            raise OSError(f"cannot append query log {args.log!r}: {exc}") from exc
     if args.save_index:
         with open(args.save_index, "w", encoding="utf-8", newline="") as fh:
             fh.write(save_index_text(pipe.index))
@@ -181,9 +192,9 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
         if q.terms not in answers:
             answers[q.terms] = execute(q, pipe.catalog, pipe.index)
         rs = answers[q.terms]
-        results.append(ResultSet(rs.items, q, rs.matched))
+        results.append(ResultSet(rs.items, rs.scores, q, rs.matched))
     try:
-        _emit(args, out, model, asts, tables, queries, results)
+        _emit(args, out, pipe, model, asts, tables, queries, results)
         out.flush()
         _side_outputs(args, pipe, model, results)
     except OSError as exc:
@@ -237,13 +248,17 @@ def run_repl(args: argparse.Namespace, stdin=None, out=None, err=None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
-    if args.dump_lexicon:
-        sys.stdout.write(lexicon_mod.DEFAULT_LEXICON_TEXT)
-        return EXIT_OK
-    if args.dump_grammar:
-        sys.stdout.write(grammar_mod.DEFAULT_GRAMMAR_TEXT)
-        return EXIT_OK
-    code = run_batch(args) if args.batch else run_repl(args)
+    if args.dump_lexicon or args.dump_grammar:
+        try:
+            sys.stdout.write(lexicon_mod.DEFAULT_LEXICON_TEXT if args.dump_lexicon
+                             else grammar_mod.DEFAULT_GRAMMAR_TEXT)
+            sys.stdout.flush()
+            code = EXIT_OK
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            code = EXIT_CONFIG
+    else:
+        code = run_batch(args) if args.batch else run_repl(args)
     try:
         sys.stdout.flush()
     except OSError:

@@ -7,9 +7,10 @@ from __future__ import annotations
 import csv
 import re
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import NamedTuple
+from typing import IO
 
 from .lexicon import _WORD_RE
 from .queries import StructuredQuery
@@ -87,16 +88,10 @@ class InvertedIndex:
         return out
 
 
-class ResultItem(NamedTuple):
-    record_id: int
-    name: str
-    category: str
-    score: int
-
-
 @dataclass(frozen=True)
 class ResultSet:
-    items: tuple[ResultItem, ...]
+    items: tuple[int, ...]  # record ids in answer order
+    scores: tuple[int, ...]  # per item, the number of terms it matched
     query: StructuredQuery
     matched: str  # AND | OR
 
@@ -176,25 +171,20 @@ def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
 def execute(q: StructuredQuery, catalog: Catalog, index: InvertedIndex) -> ResultSet:
     """AND pass over all terms; on empty intersection fall back to OR,
     scored by the number of matching terms, ties broken by ascending id.
+    The answer holds ids of ``catalog``'s records, not the records.
     """
     per_term = [index.ids_matching(term) for term in q.terms]
     conj = set.intersection(*per_term) if per_term else set()
     if conj:
-        matched = "AND"
-        scored = [(len(q.terms), rid) for rid in sorted(conj)]
-    else:
-        matched = "OR"
-        union = set().union(*per_term) if per_term else set()
-        scored = sorted(
-            ((sum(1 for ids in per_term if rid in ids), rid) for rid in union),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-    records = catalog.records
-    items = []
-    for score, rid in scored:
-        record = records[rid]
-        items.append(ResultItem(rid, record.name, record.category, score))
-    return ResultSet(tuple(items), q, matched)
+        ids = tuple(sorted(conj))
+        return ResultSet(ids, (len(q.terms),) * len(ids), q, "AND")
+    counts = Counter()
+    for ids in per_term:
+        counts.update(ids)
+    # ascending ids, then a stable sort by falling count keeps ties in id order
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return ResultSet(tuple(ranked), tuple(map(counts.__getitem__, ranked)), q, "OR")
 
 
 def save_index_text(index: InvertedIndex) -> str:
@@ -205,23 +195,14 @@ def save_index_text(index: InvertedIndex) -> str:
     )
 
 
-def append_log(log_path: str, statement_id: int, terms: tuple[str, ...],
-               matched: str, result_ids: list[int],
+def append_log(log: IO[str], statement_id: int, terms: tuple[str, ...],
+               matched: str, result_ids: str,
                relations: list[tuple[int, int]],
                now: datetime | None = None) -> None:
-    """Append one TSV line recording an executed query and its relations."""
+    """Write one TSV line recording an executed query and its relations
+    to an open log; ``result_ids`` is the answer's ids joined by commas."""
     ts = (now or datetime.now(timezone.utc)).isoformat(timespec="seconds")
     ts = ts.replace("+00:00", "Z")
-    line = "\t".join([
-        ts,
-        str(statement_id),
-        ",".join(terms),
-        matched,
-        ",".join(str(i) for i in result_ids),
-        ";".join(f"{a}-{b}" for a, b in relations),
-    ])
-    try:
-        with open(log_path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(line + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot append query log {log_path!r}: {exc}") from exc
+    rels = ";".join(f"{a}-{b}" for a, b in relations)
+    log.write(f"{ts}\t{statement_id}\t{','.join(terms)}\t{matched}\t"
+              f"{result_ids}\t{rels}\n")

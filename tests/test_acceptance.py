@@ -107,7 +107,7 @@ def test_criterion_3_retrieval_oracle_equivalence():
             expect = sorted(((r, h) for r, h in hits.items() if h > 0),
                             key=lambda p: (-p[1], p[0]))
             flag = "OR"
-        got = [(i.record_id, i.score) for i in rs.items]
+        got = list(zip(rs.items, rs.scores, strict=True))
         if got != expect or rs.matched != flag:
             mismatches += 1
     elapsed = time.monotonic() - start

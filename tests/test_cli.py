@@ -115,6 +115,13 @@ class TestBatch:
         fields = lines[0].split("\t")
         assert fields[1:] == ["1", "bolt", "AND", "1,4", "1-2"]
 
+    def test_query_log_appends_across_runs(self, tmp_path):
+        path = tmp_path / "query.log"
+        for _ in range(2):
+            batch_run(tmp_path, ["I need bolt", "She wants bolt"], "--log", str(path))
+        fields = [line.split("\t")[1] for line in path.read_text().splitlines()]
+        assert fields == ["1", "2", "1", "2"]
+
     def test_save_index(self, tmp_path):
         path = tmp_path / "index.tsv"
         batch_run(tmp_path, ["bolt"], "--save-index", str(path))
@@ -265,6 +272,22 @@ def test_stdout_on_full_device_exit_1(mode):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(argv, input="bolt\n", stdout=full, stderr=subprocess.PIPE,
                               text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, FULL_ERROR)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("flag", ["--dump-lexicon", "--dump-grammar"])
+def test_dump_on_full_device_exit_1(flag, unbuffered):
+    # buffered, the write fails at the flush; unbuffered, at the write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cnlsearch.cli", flag],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (1, FULL_ERROR)
 
 

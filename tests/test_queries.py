@@ -1,7 +1,25 @@
+import sqlite3
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from cnlsearch.grammar import parse
 from cnlsearch.lexicon import tokenize
 from cnlsearch.queries import StructuredQuery, generate_query, render_sql
 from cnlsearch.semantics import build_model
+from cnlsearch.store import execute, index_terms, ingest_catalog
+
+# index words are lowercased word characters; terms add the LIKE
+# wildcards, the escape character and a quote
+WORDS = st.text(alphabet="ab8_-", min_size=1, max_size=6)
+TERMS = st.text(alphabet="ab8_-%\\'", min_size=1, max_size=4)
+
+
+def with_special(words):
+    """A word with one of the special characters put into it, so that
+    what follows that character occurs in the index."""
+    return st.builds(lambda word, at, char: word[:at] + char + word[at:],
+                     words, st.integers(0, 6), st.sampled_from("%_\\'"))
 
 
 def queries_of(lines, lex, graph):
@@ -58,3 +76,59 @@ class TestRenderSql:
         sql = render_sql(q)
         assert sql.count("LIKE") == 3
         assert sql.count("ORDER BY") == 1
+
+
+def load(records):
+    """Catalog and index with one record per list of words."""
+    rows = "".join(f"{rid},{' '.join(words)},c,,\n"
+                   for rid, words in enumerate(records, start=1))
+    return ingest_catalog("id,name,category,description,attributes\n" + rows)
+
+
+def sql_ids(catalog, q):
+    """Ids the rendered SQL selects from an in-memory sqlite3 ``products``
+    table whose ``keywords`` are each record's indexed words."""
+    db = sqlite3.connect(":memory:")
+    try:
+        db.execute("CREATE TABLE products(id INTEGER, name TEXT, category TEXT,"
+                   " keywords TEXT)")
+        db.executemany("INSERT INTO products VALUES (?, ?, ?, ?)", [
+            (rid, r.name, r.category, " ".join(sorted(index_terms(r))))
+            for rid, r in catalog.records.items()])
+        return [row[0] for row in db.execute(render_sql(q))]
+    finally:
+        db.close()
+
+
+def and_pass(q, catalog, index):
+    rs = execute(q, catalog, index)
+    return list(rs.items) if rs.matched == "AND" else []
+
+
+class TestRenderSqlMatchesExecute:
+    """The rendered SQL returns the ids of the AND pass of ``execute``
+    (none when it fell back to OR)."""
+
+    @pytest.mark.parametrize("records, term", [
+        ([["m-8"], ["m_8"]], "m_8"),      # _ is not a wildcard
+        ([["bolt"]], "%"),                # nor is %
+        ([["a_"]], "\\a_"),               # a backslash is not an escape
+        ([["a_"]], "a\\"),
+        ([["o"]], "o'"),
+    ], ids=["underscore", "percent", "backslash", "trailing-backslash", "quote"])
+    def test_special_characters(self, records, term):
+        catalog, index = load(records)
+        q = StructuredQuery(1, (term,), "need")
+        assert sql_ids(catalog, q) == and_pass(q, catalog, index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           records=st.lists(st.lists(WORDS, min_size=1, max_size=4),
+                            min_size=1, max_size=10))
+    def test_and_pass(self, data, records):
+        words = st.sampled_from([w for ws in records for w in ws])
+        terms = data.draw(st.lists(st.one_of(TERMS, with_special(words)),
+                                   min_size=1, max_size=3, unique=True))
+        catalog, index = load(records)
+        q = StructuredQuery(1, tuple(terms), "need")
+        assert sql_ids(catalog, q) == and_pass(q, catalog, index)

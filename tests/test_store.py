@@ -1,3 +1,4 @@
+import io
 import random
 from datetime import datetime, timezone
 
@@ -90,28 +91,29 @@ class TestExecute:
     def test_and_pass(self, catalog_and_index):
         catalog, index = catalog_and_index
         rs = execute(StructuredQuery(1, ("bolt",), "need"), catalog, index)
-        assert [i.record_id for i in rs.items] == [1, 4]
+        assert rs.items == (1, 4)
         assert rs.matched == "AND"
-        assert all(i.score == 1 for i in rs.items)
+        assert rs.scores == (1, 1)
 
     def test_or_fallback(self, catalog_and_index):
         catalog, index = catalog_and_index
         rs = execute(StructuredQuery(1, ("bolt", "pumpkin"), "need"),
                      catalog, index)
         assert rs.matched == "OR"
-        assert [i.record_id for i in rs.items] == [1, 4]
-        assert all(i.score == 1 for i in rs.items)
+        assert rs.items == (1, 4)
+        assert rs.scores == (1, 1)
 
     def test_no_matches(self, catalog_and_index):
         catalog, index = catalog_and_index
         rs = execute(StructuredQuery(1, ("zzz",), "need"), catalog, index)
         assert rs.items == ()
+        assert rs.scores == ()
         assert rs.matched == "OR"
 
     def test_substring_matches_part_numbers(self, catalog_and_index):
         catalog, index = catalog_and_index
         rs = execute(StructuredQuery(1, ("m8",), "need"), catalog, index)
-        assert 4 in [i.record_id for i in rs.items]  # m8 inside m8x20
+        assert 4 in rs.items  # m8 inside m8x20
 
     def test_deterministic(self, catalog_and_index):
         catalog, index = catalog_and_index
@@ -144,7 +146,8 @@ class TestExecuteOracle:
             q = StructuredQuery(1, terms, "need")
             rs = execute(q, catalog, index)
             expected, flag = brute_force(q, catalog)
-            assert [(i.record_id, i.score) for i in rs.items] == expected
+            got = list(zip(rs.items, rs.scores, strict=True))
+            assert got == expected
             assert rs.matched == flag
 
 
@@ -172,30 +175,30 @@ class TestLookupProperty:
 
 
 class TestLogAndDump:
-    def test_log_line_format(self, tmp_path):
-        path = tmp_path / "query.log"
-        ts = datetime(2026, 8, 23, 12, 0, 0, tzinfo=timezone.utc)
-        append_log(str(path), 1, ("bolt",), "AND", [1, 4], [], now=ts)
-        assert path.read_text() == "2026-08-23T12:00:00Z\t1\tbolt\tAND\t1,4\t\n"
+    TS = datetime(2026, 8, 23, 12, 0, 0, tzinfo=timezone.utc)
 
-    def test_log_empty_result(self, tmp_path):
-        path = tmp_path / "query.log"
-        ts = datetime(2026, 8, 23, 12, 0, 0, tzinfo=timezone.utc)
-        append_log(str(path), 2, ("zzz",), "OR", [], [], now=ts)
-        fields = path.read_text().rstrip("\n").split("\t")
+    def test_log_line_format(self):
+        log = io.StringIO()
+        append_log(log, 1, ("bolt",), "AND", "1,4", [], now=self.TS)
+        assert log.getvalue() == "2026-08-23T12:00:00Z\t1\tbolt\tAND\t1,4\t\n"
+
+    def test_log_empty_result(self):
+        log = io.StringIO()
+        append_log(log, 2, ("zzz",), "OR", "", [], now=self.TS)
+        fields = log.getvalue().rstrip("\n").split("\t")
         assert fields[4] == ""
 
-    def test_log_relations(self, tmp_path):
-        path = tmp_path / "query.log"
-        ts = datetime(2026, 8, 23, 12, 0, 0, tzinfo=timezone.utc)
-        append_log(str(path), 1, ("bolt",), "AND", [1], [(1, 2), (1, 3)], now=ts)
-        assert path.read_text().rstrip("\n").split("\t")[5] == "1-2;1-3"
+    def test_log_relations(self):
+        log = io.StringIO()
+        append_log(log, 1, ("bolt",), "AND", "1", [(1, 2), (1, 3)], now=self.TS)
+        assert log.getvalue().rstrip("\n").split("\t")[5] == "1-2;1-3"
 
-    def test_log_appends(self, tmp_path):
-        path = tmp_path / "query.log"
-        append_log(str(path), 1, ("a",), "AND", [], [])
-        append_log(str(path), 2, ("b",), "OR", [], [])
-        assert len(path.read_text().splitlines()) == 2
+    def test_log_appends(self):
+        log = io.StringIO()
+        append_log(log, 1, ("a",), "AND", "", [])
+        append_log(log, 2, ("b",), "OR", "", [])
+        lines = log.getvalue().splitlines()
+        assert [line.split("\t")[1] for line in lines] == ["1", "2"]
 
     def test_save_index_text(self):
         _, index = ingest_catalog(SMALL_CATALOG)
