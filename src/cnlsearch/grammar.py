@@ -9,6 +9,7 @@ is a START-to-END path in the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexicon import Token, TokenStream
 
@@ -96,8 +97,7 @@ class StatementAst:
     keyword_phrase: tuple[Token, ...]
 
 
-@dataclass(frozen=True)
-class SymbolRow:
+class SymbolRow(NamedTuple):
     lexeme: str
     cls: str
     span: tuple[int, int]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 WORD_CLASSES = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
@@ -65,8 +66,7 @@ class LexiconError(ValueError):
     """Raised when a lexicon file cannot be loaded."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     lexeme: str
     normalized: str
     cls: str
@@ -87,9 +87,6 @@ class Lexicon:
         self.max_phrase_len = max(
             (len(k.split(" ")) for k in self.entries), default=0
         )
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def class_of(self, lexeme: str) -> str | None:
         return self.entries.get(lexeme)

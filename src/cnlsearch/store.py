@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import csv
 import re
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO
+from typing import IO, NamedTuple
 
 from .lexicon import _WORD_RE
 from .queries import StructuredQuery
@@ -26,8 +25,7 @@ class CatalogError(ValueError):
     """Raised when a catalog file cannot be ingested."""
 
 
-@dataclass(frozen=True)
-class ProductRecord:
+class ProductRecord(NamedTuple):
     id: int
     name: str
     category: str
@@ -57,20 +55,12 @@ class InvertedIndex:
     """term -> ascending, duplicate-free posting list of record ids, and
     trigram -> the terms containing it, which narrows substring lookup."""
 
-    def __init__(self):
-        self.postings: dict[str, list[int]] = {}
+    def __init__(self, postings: dict[str, list[int]]):
+        self.postings = postings
         self.grams: dict[str, list[str]] = {}
-
-    def post(self, term: str, record_id: int) -> None:
-        ids = self.postings.get(term)
-        if ids is None:
-            self.postings[term] = [record_id]
+        for term in postings:  # first-seen order
             for gram in _trigrams(term):
                 self.grams.setdefault(gram, []).append(term)
-        elif record_id > ids[-1]:  # ingest order
-            ids.append(record_id)
-        else:  # ids are unique and a record posts each term once
-            insort(ids, record_id)
 
     def ids_matching(self, term: str) -> set[int]:
         # substring semantics, mirroring the LIKE '%term%' rendering. A key
@@ -98,12 +88,12 @@ class ResultSet:
 
 def index_terms(record: ProductRecord) -> set[str]:
     """Lowercased words from name, category, description and attribute values."""
-    text_fields = [record.name, record.category, record.description]
-    text_fields.extend(value for _, value in record.attributes)
-    terms: set[str] = set()
-    for text in text_fields:
-        terms.update(m.group(0).lower() for m in _WORD_RE.finditer(text))
-    return terms
+    # one scan over the fields joined by a non-word character finds the
+    # words each field holds. Lowercase the words, not the text: lower()
+    # maps some non-ASCII letters (U+212A KELVIN SIGN) to ASCII word ones.
+    text = " ".join((record.name, record.category, record.description,
+                     *[value for _, value in record.attributes]))
+    return set(map(str.lower, _WORD_RE.findall(text)))
 
 
 def _lines(source: str):
@@ -117,25 +107,31 @@ def _lines(source: str):
 
 
 def _rows(source: str):
-    """CSV rows of the source; malformed CSV is a CatalogError."""
+    """Each CSV row with the file line it starts on (a quoted field may
+    span lines); malformed CSV is a CatalogError."""
     reader = csv.reader(_lines(source))
+    end = 0
     try:
-        yield from reader
+        for row in reader:
+            yield end + 1, row
+            end = reader.line_num
     except csv.Error as exc:
         raise CatalogError(f"line {reader.line_num}: {exc}") from None
 
 
 def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
-    """Load catalog CSV text and build the inverted index."""
+    """Load catalog CSV text and build the inverted index in one pass."""
     rows = _rows(source)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None:
         raise CatalogError("empty catalog file (missing header)")
     if header != CATALOG_HEADER:
         raise CatalogError(f"bad header {header!r}, expected {CATALOG_HEADER!r}")
     catalog = Catalog()
-    index = InvertedIndex()
-    for lineno, row in enumerate(rows, start=2):
+    postings: dict[str, list[int]] = {}
+    last_id = 0
+    in_order = True
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(CATALOG_HEADER):
@@ -158,14 +154,19 @@ def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
                 if not sep:
                     raise CatalogError(f"line {lineno}: bad attribute {pair!r}")
                 attributes.append((key, value))
-        if record_id in catalog:
+        if record_id in catalog.records:
             raise CatalogError(f"line {lineno}: duplicate record id {record_id}")
         record = ProductRecord(record_id, name, category, description,
                                tuple(attributes))
         catalog.records[record_id] = record
+        in_order = in_order and record_id > last_id
+        last_id = record_id
         for term in index_terms(record):
-            index.post(term, record_id)
-    return catalog, index
+            postings.setdefault(term, []).append(record_id)
+    if not in_order:  # some id came out of file order
+        for ids in postings.values():
+            ids.sort()
+    return catalog, InvertedIndex(postings)
 
 
 def execute(q: StructuredQuery, catalog: Catalog, index: InvertedIndex) -> ResultSet:

@@ -25,7 +25,7 @@ class TestLoadLexicon:
 
     def test_empty_file(self):
         empty = load_lexicon("")
-        assert len(empty) == 0
+        assert empty.entries == {}
         assert empty.max_phrase_len == 0
 
     def test_duplicate_lexeme_is_error(self):
@@ -123,7 +123,7 @@ class TestRoundTrip:
 
 
 def test_default_text_loads_cleanly():
-    assert len(load_lexicon(DEFAULT_LEXICON_TEXT)) >= 14
+    assert len(load_lexicon(DEFAULT_LEXICON_TEXT).entries) >= 14
 
 
 # Frozen reference: the character-by-character tokenizer that the single

@@ -1,12 +1,14 @@
+import csv
 import io
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnlsearch.queries import StructuredQuery
-from cnlsearch.store import (CatalogError, append_log, execute,
+from cnlsearch.store import (CatalogError, ProductRecord, append_log, execute,
                              index_terms, ingest_catalog, save_index_text)
 
 # a small alphabet makes keys share trigrams, so the trigram filter
@@ -59,6 +61,17 @@ class TestIngest:
     def test_control_character_in_name_or_category(self, row):
         with pytest.raises(CatalogError, match="line 2: control character"):
             ingest_catalog(f"id,name,category,description,attributes\n{row}\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        ('1,Bolt,f,"two\nlines",\n1,Dup,f,d,\n', "line 4: duplicate record id 1"),
+        ('1,Bolt,f,"two\nlines",\n2,"Hex\nNut",f,d,\n',
+         "line 4: control character in name or category"),
+        ('1,Bolt,f,"a\nb\nc",\n\n2,Nut,f,d,x\n', "line 6: bad attribute 'x'"),
+    ])
+    def test_line_numbers_count_file_lines(self, rows, message):
+        # a quoted field may span lines; an error names the line its row starts on
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            ingest_catalog(f"id,name,category,description,attributes\n{rows}")
 
     def test_control_character_in_description_kept(self):
         catalog, _ = ingest_catalog(
@@ -172,6 +185,63 @@ class TestLookupProperty:
             assert index.ids_matching(term) == linear_scan(index, term)
         for posting in index.postings.values():
             assert all(a < b for a, b in zip(posting, posting[1:]))
+
+
+# Frozen reference: the per-field word rule that the one-scan index_terms
+# replaced.  It shares no code with cnlsearch.store.
+def reference_terms(record):
+    text_fields = [record.name, record.category, record.description]
+    text_fields.extend(value for _, value in record.attributes)
+    terms = set()
+    for text in text_fields:
+        terms.update(m.group(0).lower()
+                     for m in re.finditer(r"[A-Za-z0-9_-]+", text))
+    return terms
+
+
+# U+212A KELVIN SIGN and U+0130 lowercase to ASCII-word material, so a
+# rule that lowercased the text before matching would index other words
+FIELD = st.text(alphabet="aBk8_- ,\"\u212a\u0130", max_size=12)
+ATTRIBUTES = st.lists(st.tuples(st.text(alphabet="kK", min_size=1, max_size=3),
+                                st.text(alphabet="aB8- =\u212a\u0130", max_size=8)),
+                      max_size=3)
+RECORDS = st.lists(st.tuples(FIELD.filter(bool), FIELD, FIELD, ATTRIBUTES),
+                   min_size=1, max_size=10)
+
+
+class TestIndexIsInversion:
+    @settings(max_examples=300, deadline=None)
+    @given(records=RECORDS, rnd=st.randoms(use_true_random=False))
+    def test_matches_per_field_inversion(self, records, rnd):
+        ids = list(range(1, len(records) + 1))
+        rnd.shuffle(ids)  # file order is not id order
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["id", "name", "category", "description", "attributes"])
+        file_order = []
+        for rid, (name, category, description, attrs) in zip(ids, records):
+            writer.writerow([rid, name, category, description,
+                             "|".join(f"{k}={v}" for k, v in attrs)])
+            file_order.append(ProductRecord(rid, name, category, description,
+                                            tuple(attrs)))
+        catalog, index = ingest_catalog(out.getvalue())
+        assert list(catalog.records.values()) == file_order
+
+        postings, first_seen = {}, {}
+        for pos, record in enumerate(file_order):
+            for term in reference_terms(record):
+                postings.setdefault(term, []).append(record.id)
+                first_seen.setdefault(term, pos)
+        assert index.postings == {t: sorted(ids) for t, ids in postings.items()}
+
+        grams = {}
+        for term in postings:
+            for gram in {term[i:i + 3] for i in range(len(term) - 2)}:
+                grams.setdefault(gram, set()).add(term)
+        assert {g: set(keys) for g, keys in index.grams.items()} == grams
+        for keys in index.grams.values():
+            seen = [first_seen[key] for key in keys]
+            assert len(set(keys)) == len(keys) and seen == sorted(seen)
 
 
 class TestLogAndDump:
