@@ -15,8 +15,8 @@ from .responder import (AnswerLines, ResponseFrame, build_echo, present,
                         prioritize, reconstruct)
 from .semantics import (RelationLink, SemanticModel, Triple, build_model,
                         export_triples, resolve)
-from .store import (Catalog, InvertedIndex, ProductRecord, ResultSet,
-                    append_log, execute, ingest_catalog, save_index_text)
+from .store import (InvertedIndex, ProductRecord, ResultSet, append_log,
+                    execute, ingest_catalog, save_index_text)
 
 __all__ = [
     "ParseError", "StatementAst", "SymbolTable", "TransitionGraph",
@@ -28,8 +28,8 @@ __all__ = [
     "reconstruct",
     "RelationLink", "SemanticModel", "Triple", "build_model",
     "export_triples", "resolve",
-    "Catalog", "InvertedIndex", "ProductRecord", "ResultSet",
-    "append_log", "execute", "ingest_catalog", "save_index_text",
+    "InvertedIndex", "ProductRecord", "ResultSet", "append_log", "execute",
+    "ingest_catalog", "save_index_text",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .queries import StructuredQuery, generate_query, render_sql
 from .responder import (AnswerLines, ResponseFrame, build_echo, present,
                         prioritize, reconstruct)
 from .semantics import SemanticModel, build_model, export_triples, resolve
-from .store import (Catalog, CatalogError, InvertedIndex, ResultSet,
+from .store import (CatalogError, InvertedIndex, ProductRecord, ResultSet,
                     append_log, execute, ingest_catalog, save_index_text)
 
 PROMPT = "isoas> "
@@ -63,9 +63,9 @@ class Pipeline:
     """Loaded lexicon, grammar and catalog shared by batch and REPL modes."""
     lexicon: Lexicon
     graph: TransitionGraph
-    catalog: Catalog
+    records: dict[int, ProductRecord]  # by id
     index: InvertedIndex
-    lines: AnswerLines  # of the catalog's records, filled as they are shown
+    lines: AnswerLines  # of the records, filled as they are shown
 
 
 def _load_pipeline(args: argparse.Namespace) -> Pipeline:
@@ -82,8 +82,8 @@ def _load_pipeline(args: argparse.Namespace) -> Pipeline:
     if not args.catalog:
         raise CatalogError("--catalog is required")
     with open(args.catalog, encoding="utf-8-sig", newline="") as fh:
-        catalog, index = ingest_catalog(fh.read())
-    return Pipeline(lex, graph, catalog, index, AnswerLines(catalog.records))
+        records, index = ingest_catalog(fh.read())
+    return Pipeline(lex, graph, records, index, AnswerLines(records))
 
 
 def _format_parse_error(label: str, err: ParseError) -> str:
@@ -127,7 +127,7 @@ def _emit(args: argparse.Namespace, out, pipe: Pipeline, model: SemanticModel,
     elif args.format == "triples":
         out.write(export_triples(model))
     else:  # tsv
-        records = pipe.catalog.records
+        records = pipe.records
         for rs in results:
             sid = rs.query.statement_id
             for rid, score in zip(rs.items, rs.scores):
@@ -190,7 +190,7 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
     results = []
     for q in queries:
         if q.terms not in answers:
-            answers[q.terms] = execute(q, pipe.catalog, pipe.index)
+            answers[q.terms] = execute(q, pipe.index)
         rs = answers[q.terms]
         results.append(ResultSet(rs.items, rs.scores, q, rs.matched))
     try:

@@ -16,17 +16,14 @@ _LIKE_SPECIAL = re.compile(r"[\\%_]")
 class StructuredQuery:
     statement_id: int
     terms: tuple[str, ...]
-    predicate: str
 
 
 def generate_query(model: SemanticModel) -> list[StructuredQuery]:
     """One query per statement, terms deduplicated in first-occurrence order."""
     queries = []
     for stmt in model.statements:
-        terms = list(dict.fromkeys(stmt.triple.object.split()))
-        queries.append(
-            StructuredQuery(stmt.statement_id, tuple(terms), stmt.triple.predicate)
-        )
+        terms = tuple(dict.fromkeys(stmt.triple.object.split()))
+        queries.append(StructuredQuery(stmt.statement_id, terms))
     return queries
 
 

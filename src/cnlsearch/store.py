@@ -29,22 +29,6 @@ class ProductRecord(NamedTuple):
     id: int
     name: str
     category: str
-    description: str
-    attributes: tuple[tuple[str, str], ...]
-
-
-class Catalog:
-    def __init__(self):
-        self.records: dict[int, ProductRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __contains__(self, record_id: int) -> bool:
-        return record_id in self.records
-
-    def __getitem__(self, record_id: int) -> ProductRecord:
-        return self.records[record_id]
 
 
 def _trigrams(text: str) -> set[str]:
@@ -86,13 +70,12 @@ class ResultSet:
     matched: str  # AND | OR
 
 
-def index_terms(record: ProductRecord) -> set[str]:
-    """Lowercased words from name, category, description and attribute values."""
-    # one scan over the fields joined by a non-word character finds the
-    # words each field holds. Lowercase the words, not the text: lower()
-    # maps some non-ASCII letters (U+212A KELVIN SIGN) to ASCII word ones.
-    text = " ".join((record.name, record.category, record.description,
-                     *[value for _, value in record.attributes]))
+def _index_words(text: str) -> set[str]:
+    """Lowercased words of ``text``."""
+    # lower() maps some non-ASCII letters (U+212A KELVIN SIGN) to ASCII
+    # word ones, so only ASCII text is lowercased before the scan
+    if text.isascii():
+        return set(_WORD_RE.findall(text.lower()))
     return set(map(str.lower, _WORD_RE.findall(text)))
 
 
@@ -119,16 +102,19 @@ def _rows(source: str):
         raise CatalogError(f"line {reader.line_num}: {exc}") from None
 
 
-def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
-    """Load catalog CSV text and build the inverted index in one pass."""
+def ingest_catalog(source: str) -> tuple[dict[int, ProductRecord], InvertedIndex]:
+    """Load catalog CSV text and build the inverted index in one pass.
+    A record keeps its id, name and category; the index words of its
+    description and attribute values are taken while the row is read."""
     rows = _rows(source)
     _, header = next(rows, (1, None))
     if header is None:
         raise CatalogError("empty catalog file (missing header)")
     if header != CATALOG_HEADER:
         raise CatalogError(f"bad header {header!r}, expected {CATALOG_HEADER!r}")
-    catalog = Catalog()
+    records: dict[int, ProductRecord] = {}
     postings: dict[str, list[int]] = {}
+    categories: dict[str, str] = {}  # one shared string per category
     last_id = 0
     in_order = True
     for lineno, row in rows:
@@ -137,42 +123,43 @@ def ingest_catalog(source: str) -> tuple[Catalog, InvertedIndex]:
         if len(row) != len(CATALOG_HEADER):
             raise CatalogError(f"line {lineno}: expected {len(CATALOG_HEADER)} columns")
         raw_id, name, category, description, attrs_field = row
-        try:
-            record_id = int(raw_id)
-        except ValueError:
+        # ASCII digits only: int() also reads "+4", " 5", "1_0" and "٣"
+        digits = raw_id.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise CatalogError(f"line {lineno}: non-integer id {raw_id!r}")
+        record_id = int(raw_id)
         if record_id <= 0:
             raise CatalogError(f"line {lineno}: id must be positive")
         if not name:
             raise CatalogError(f"line {lineno}: empty name")
         if _CONTROL_RE.search(name) or _CONTROL_RE.search(category):
             raise CatalogError(f"line {lineno}: control character in name or category")
-        attributes = []
+        fields = [name, category, description]
         if attrs_field:
             for pair in attrs_field.split("|"):
-                key, sep, value = pair.partition("=")
+                _, sep, value = pair.partition("=")
                 if not sep:
                     raise CatalogError(f"line {lineno}: bad attribute {pair!r}")
-                attributes.append((key, value))
-        if record_id in catalog.records:
+                fields.append(value)
+        if record_id in records:
             raise CatalogError(f"line {lineno}: duplicate record id {record_id}")
-        record = ProductRecord(record_id, name, category, description,
-                               tuple(attributes))
-        catalog.records[record_id] = record
+        records[record_id] = ProductRecord(
+            record_id, name, categories.setdefault(category, category))
         in_order = in_order and record_id > last_id
         last_id = record_id
-        for term in index_terms(record):
+        # one scan over the fields joined by a non-word character
+        for term in _index_words(" ".join(fields)):
             postings.setdefault(term, []).append(record_id)
     if not in_order:  # some id came out of file order
         for ids in postings.values():
             ids.sort()
-    return catalog, InvertedIndex(postings)
+    return records, InvertedIndex(postings)
 
 
-def execute(q: StructuredQuery, catalog: Catalog, index: InvertedIndex) -> ResultSet:
+def execute(q: StructuredQuery, index: InvertedIndex) -> ResultSet:
     """AND pass over all terms; on empty intersection fall back to OR,
     scored by the number of matching terms, ties broken by ascending id.
-    The answer holds ids of ``catalog``'s records, not the records.
+    The answer holds record ids, not records.
     """
     per_term = [index.ids_matching(term) for term in q.terms]
     conj = set.intersection(*per_term) if per_term else set()

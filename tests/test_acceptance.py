@@ -7,6 +7,7 @@ golden files).
 import io
 import itertools
 import random
+import re
 import string
 import time
 
@@ -20,7 +21,7 @@ from cnlsearch.lexicon import (Token, TokenStream, default_lexicon,
                                detokenize, tokenize)
 from cnlsearch.queries import StructuredQuery
 from cnlsearch.responder import build_echo
-from cnlsearch.store import execute, index_terms, ingest_catalog
+from cnlsearch.store import execute, ingest_catalog
 
 CLASS_LETTERS = "ABCDEFGHIJK"
 
@@ -84,19 +85,22 @@ def test_criterion_3_retrieval_oracle_equivalence():
     for _ in range(200):
         header = "id,name,category,description,attributes\n"
         rows = []
+        indexed_words = {}  # record id -> its words, lowercased
         for rid in range(1, rng.randint(1, 100) + 1):
             name = " ".join(rng.sample(words, rng.randint(1, 3)))
             desc = " ".join(rng.choices(words, k=rng.randint(0, 4)))
-            rows.append(f"{rid},{name},{rng.choice(words)},{desc},\n")
-        catalog, index = ingest_catalog(header + "".join(rows))
+            category = rng.choice(words)  # draw order fixes the catalogs
+            rows.append(f"{rid},{name},{category},{desc},\n")
+            indexed_words[rid] = {w.lower() for w in re.findall(
+                r"[A-Za-z0-9_-]+", f"{name} {category} {desc}")}
+        _, index = ingest_catalog(header + "".join(rows))
         terms = tuple(dict.fromkeys(
             rng.choices(words + ["m", "zz"], k=rng.randint(1, 4))))
-        q = StructuredQuery(1, terms, "need")
-        rs = execute(q, catalog, index)
-        # linear-scan oracle
+        q = StructuredQuery(1, terms)
+        rs = execute(q, index)
+        # linear-scan oracle over the generated rows
         hits = {}
-        for rid, record in catalog.records.items():
-            indexed = index_terms(record)
+        for rid, indexed in indexed_words.items():
             hits[rid] = sum(1 for t in terms
                             if any(t in w for w in indexed))
         conj = sorted(r for r, h in hits.items() if h == len(terms))

@@ -1,3 +1,4 @@
+import re
 import sqlite3
 
 import pytest
@@ -7,7 +8,7 @@ from cnlsearch.grammar import parse
 from cnlsearch.lexicon import tokenize
 from cnlsearch.queries import StructuredQuery, generate_query, render_sql
 from cnlsearch.semantics import build_model
-from cnlsearch.store import execute, index_terms, ingest_catalog
+from cnlsearch.store import execute, ingest_catalog
 
 # index words are lowercased word characters; terms add the LIKE
 # wildcards, the escape character and a quote
@@ -31,7 +32,6 @@ class TestGenerateQuery:
     def test_terms_from_object(self, lex, graph):
         (q,) = queries_of(["She is looking for bolt M8"], lex, graph)
         assert q.terms == ("bolt", "m8")
-        assert q.predicate == "looking for"
 
     def test_duplicate_terms_collapsed(self, lex, graph):
         (q,) = queries_of(["bolt bolt"], lex, graph)
@@ -47,61 +47,66 @@ class TestGenerateQuery:
 
 class TestRenderSql:
     def test_two_terms(self):
-        q = StructuredQuery(1, ("bolt", "m8"), "need")
+        q = StructuredQuery(1, ("bolt", "m8"))
         assert render_sql(q) == (
             "SELECT id, name, category FROM products WHERE "
             "keywords LIKE '%bolt%' AND keywords LIKE '%m8%' ORDER BY id;"
         )
 
     def test_single_term(self):
-        q = StructuredQuery(1, ("pump",), "unknown")
+        q = StructuredQuery(1, ("pump",))
         assert render_sql(q) == (
             "SELECT id, name, category FROM products WHERE "
             "keywords LIKE '%pump%' ORDER BY id;"
         )
 
     def test_quote_doubling(self):
-        q = StructuredQuery(1, ("o'ring",), "unknown")
+        q = StructuredQuery(1, ("o'ring",))
         assert "LIKE '%o''ring%'" in render_sql(q)
         # no lone quote inside the literal
         body = render_sql(q).split("'%")[1].split("%'")[0]
         assert "'" not in body.replace("''", "")
 
     def test_deterministic(self):
-        q = StructuredQuery(3, ("seal", "kit"), "need")
+        q = StructuredQuery(3, ("seal", "kit"))
         assert render_sql(q) == render_sql(q)
 
     def test_predicate_count(self):
-        q = StructuredQuery(1, ("a1", "b2", "c3"), "find")
+        q = StructuredQuery(1, ("a1", "b2", "c3"))
         sql = render_sql(q)
         assert sql.count("LIKE") == 3
         assert sql.count("ORDER BY") == 1
 
 
 def load(records):
-    """Catalog and index with one record per list of words."""
+    """The index of a catalog with one record per list of words, named by
+    the words and in category ``c``."""
     rows = "".join(f"{rid},{' '.join(words)},c,,\n"
                    for rid, words in enumerate(records, start=1))
-    return ingest_catalog("id,name,category,description,attributes\n" + rows)
+    return ingest_catalog("id,name,category,description,attributes\n" + rows)[1]
 
 
-def sql_ids(catalog, q):
+def sql_ids(records, q):
     """Ids the rendered SQL selects from an in-memory sqlite3 ``products``
-    table whose ``keywords`` are each record's indexed words."""
+    table of the records ``load`` ingests, whose ``keywords`` are each
+    record's lowercased runs of ASCII letters, digits, ``_`` and ``-``."""
     db = sqlite3.connect(":memory:")
     try:
         db.execute("CREATE TABLE products(id INTEGER, name TEXT, category TEXT,"
                    " keywords TEXT)")
-        db.executemany("INSERT INTO products VALUES (?, ?, ?, ?)", [
-            (rid, r.name, r.category, " ".join(sorted(index_terms(r))))
-            for rid, r in catalog.records.items()])
+        rows = []
+        for rid, words in enumerate(records, start=1):
+            name = " ".join(words)
+            keywords = {w.lower() for w in re.findall(r"[A-Za-z0-9_-]+", f"{name} c")}
+            rows.append((rid, name, "c", " ".join(sorted(keywords))))
+        db.executemany("INSERT INTO products VALUES (?, ?, ?, ?)", rows)
         return [row[0] for row in db.execute(render_sql(q))]
     finally:
         db.close()
 
 
-def and_pass(q, catalog, index):
-    rs = execute(q, catalog, index)
+def and_pass(q, index):
+    rs = execute(q, index)
     return list(rs.items) if rs.matched == "AND" else []
 
 
@@ -117,9 +122,8 @@ class TestRenderSqlMatchesExecute:
         ([["o"]], "o'"),
     ], ids=["underscore", "percent", "backslash", "trailing-backslash", "quote"])
     def test_special_characters(self, records, term):
-        catalog, index = load(records)
-        q = StructuredQuery(1, (term,), "need")
-        assert sql_ids(catalog, q) == and_pass(q, catalog, index)
+        q = StructuredQuery(1, (term,))
+        assert sql_ids(records, q) == and_pass(q, load(records))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(),
@@ -129,6 +133,5 @@ class TestRenderSqlMatchesExecute:
         words = st.sampled_from([w for ws in records for w in ws])
         terms = data.draw(st.lists(st.one_of(TERMS, with_special(words)),
                                    min_size=1, max_size=3, unique=True))
-        catalog, index = load(records)
-        q = StructuredQuery(1, tuple(terms), "need")
-        assert sql_ids(catalog, q) == and_pass(q, catalog, index)
+        q = StructuredQuery(1, tuple(terms))
+        assert sql_ids(records, q) == and_pass(q, load(records))

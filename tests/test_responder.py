@@ -12,7 +12,7 @@ from cnlsearch.store import ProductRecord, ResultSet
 
 
 def make_frame(echo, ids, matched="AND"):
-    rs = ResultSet(tuple(ids), (1,) * len(ids), StructuredQuery(1, ("x",), "need"),
+    rs = ResultSet(tuple(ids), (1,) * len(ids), StructuredQuery(1, ("x",)),
                    matched)
     return ResponseFrame(echo, rs)
 
@@ -22,7 +22,7 @@ BOLT_IDS = [1, 4]  # "Hex Bolt M8" and "Bolt M8x20" in the sample catalog
 
 @pytest.fixture
 def sample_lines(catalog_and_index):
-    return AnswerLines(catalog_and_index[0].records)
+    return AnswerLines(catalog_and_index[0])
 
 
 class TestEcho:
@@ -93,7 +93,7 @@ class TestReconstruct:
         ast, _ = parse(tokenize("He needs bolt m8", lex), graph)
         frame = ResponseFrame(build_echo(ast),
                               ResultSet(tuple(BOLT_IDS), (2, 2),
-                                        StructuredQuery(1, ("bolt", "m8"), "need"),
+                                        StructuredQuery(1, ("bolt", "m8")),
                                         "AND"))
         text = reconstruct(frame, sample_lines)
         assert "bolt m8" in text
@@ -130,7 +130,7 @@ class TestReconstructMatchesTemplate:
                                    st.tuples(FIELD.filter(bool), FIELD),
                                    min_size=1, max_size=8))
     def test_line_for_line(self, data, echo, records):
-        lines = AnswerLines({rid: ProductRecord(rid, name, category, "", ())
+        lines = AnswerLines({rid: ProductRecord(rid, name, category)
                              for rid, (name, category) in records.items()})
         answer = st.tuples(st.lists(st.sampled_from(sorted(records)), unique=True),
                            st.sampled_from(["AND", "OR"]))
@@ -140,7 +140,7 @@ class TestReconstructMatchesTemplate:
         answers += [(ids[::-1], "OR") for ids, _ in answers]
         for ids, matched in answers:
             rs = ResultSet(tuple(ids), (1,) * len(ids),
-                           StructuredQuery(1, ("x",), "need"), matched)
+                           StructuredQuery(1, ("x",)), matched)
             expected = reference_reconstruct(
                 echo, [(rid, *records[rid]) for rid in ids], matched)
             assert reconstruct(ResponseFrame(echo, rs), lines) == expected

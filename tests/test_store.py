@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnlsearch.queries import StructuredQuery
-from cnlsearch.store import (CatalogError, ProductRecord, append_log, execute,
-                             index_terms, ingest_catalog, save_index_text)
+from cnlsearch.store import (CatalogError, append_log, execute, ingest_catalog,
+                             save_index_text)
 
 # a small alphabet makes keys share trigrams, so the trigram filter
 # keeps candidates that verification must reject
@@ -24,11 +24,17 @@ id,name,category,description,attributes
 """
 
 
-def brute_force(q, catalog):
-    """Linear-scan oracle for the substring AND/OR-fallback semantics."""
+def words_of(*fields):
+    """A record's index words, by this module's own rule: lowercased
+    runs of ASCII letters, digits, hyphens and underscores."""
+    return {w.lower() for f in fields for w in re.findall(r"[A-Za-z0-9_-]+", f)}
+
+
+def brute_force(q, words):
+    """Linear-scan oracle for the substring AND/OR-fallback semantics;
+    ``words`` maps each record id to its index words."""
     matches = {}
-    for rid, record in sorted(catalog.records.items()):
-        terms = index_terms(record)
+    for rid, terms in sorted(words.items()):
         matches[rid] = [t for t in q.terms if any(t in w for w in terms)]
     conj = [rid for rid, hit in matches.items() if len(hit) == len(q.terms)]
     if q.terms and conj:
@@ -44,7 +50,8 @@ class TestIngest:
         assert len(catalog) == 3
         assert index.postings["bolt"] == [1]
         assert index.postings["washer"] == [2]
-        assert catalog[1].attributes == (("thread", "M8"),)
+        assert catalog[1] == (1, "Hex Bolt", "fasteners")
+        assert index.postings["m8"] == [1]  # an attribute value
 
     def test_header_only(self):
         catalog, index = ingest_catalog("id,name,category,description,attributes\n")
@@ -74,9 +81,10 @@ class TestIngest:
             ingest_catalog(f"id,name,category,description,attributes\n{rows}")
 
     def test_control_character_in_description_kept(self):
-        catalog, _ = ingest_catalog(
+        _, index = ingest_catalog(
             'id,name,category,description,attributes\n1,Bolt,f,"a\tb",\n')
-        assert catalog[1].description == "a\tb"
+        assert index.postings["a"] == [1]
+        assert index.postings["b"] == [1]
 
     def test_malformed_csv(self):
         bad = "id,name,category,description,attributes\n1,Hex\rBolt,f,d,\n"
@@ -86,6 +94,21 @@ class TestIngest:
     def test_non_integer_id(self):
         bad = "id,name,category,description,attributes\nx,Bolt,f,d,\n"
         with pytest.raises(CatalogError, match="non-integer id"):
+            ingest_catalog(bad)
+
+    @pytest.mark.parametrize("raw_id", ["1_0", "+4", " 5", "\u0663", "-", "--3"])
+    def test_id_is_ascii_digits(self, raw_id):
+        # int() reads each of these as a number, so the answer would print
+        # an id the file does not hold
+        bad = f"id,name,category,description,attributes\n{raw_id},Bolt,f,d,\n"
+        message = f"line 2: non-integer id {raw_id!r}"
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            ingest_catalog(bad)
+
+    @pytest.mark.parametrize("raw_id", ["0", "-3"])
+    def test_id_not_positive(self, raw_id):
+        bad = f"id,name,category,description,attributes\n{raw_id},Bolt,f,d,\n"
+        with pytest.raises(CatalogError, match="^line 2: id must be positive$"):
             ingest_catalog(bad)
 
     def test_wrong_column_count(self):
@@ -102,36 +125,35 @@ class TestIngest:
 
 class TestExecute:
     def test_and_pass(self, catalog_and_index):
-        catalog, index = catalog_and_index
-        rs = execute(StructuredQuery(1, ("bolt",), "need"), catalog, index)
+        _, index = catalog_and_index
+        rs = execute(StructuredQuery(1, ("bolt",)), index)
         assert rs.items == (1, 4)
         assert rs.matched == "AND"
         assert rs.scores == (1, 1)
 
     def test_or_fallback(self, catalog_and_index):
-        catalog, index = catalog_and_index
-        rs = execute(StructuredQuery(1, ("bolt", "pumpkin"), "need"),
-                     catalog, index)
+        _, index = catalog_and_index
+        rs = execute(StructuredQuery(1, ("bolt", "pumpkin")), index)
         assert rs.matched == "OR"
         assert rs.items == (1, 4)
         assert rs.scores == (1, 1)
 
     def test_no_matches(self, catalog_and_index):
-        catalog, index = catalog_and_index
-        rs = execute(StructuredQuery(1, ("zzz",), "need"), catalog, index)
+        _, index = catalog_and_index
+        rs = execute(StructuredQuery(1, ("zzz",)), index)
         assert rs.items == ()
         assert rs.scores == ()
         assert rs.matched == "OR"
 
     def test_substring_matches_part_numbers(self, catalog_and_index):
-        catalog, index = catalog_and_index
-        rs = execute(StructuredQuery(1, ("m8",), "need"), catalog, index)
+        _, index = catalog_and_index
+        rs = execute(StructuredQuery(1, ("m8",)), index)
         assert 4 in rs.items  # m8 inside m8x20
 
     def test_deterministic(self, catalog_and_index):
-        catalog, index = catalog_and_index
-        q = StructuredQuery(1, ("seal", "pump"), "need")
-        assert execute(q, catalog, index) == execute(q, catalog, index)
+        _, index = catalog_and_index
+        q = StructuredQuery(1, ("seal", "pump"))
+        assert execute(q, index) == execute(q, index)
 
 
 class TestExecuteOracle:
@@ -139,26 +161,29 @@ class TestExecuteOracle:
              "steel", "brass", "kit", "gasket", "screw", "nut", "12mm"]
 
     def _random_catalog(self, rng):
+        """Catalog CSV text, and each record's index words by id."""
         header = "id,name,category,description,attributes\n"
-        rows = []
+        rows, words = [], {}
         for rid in range(1, rng.randint(1, 100) + 1):
             name = " ".join(rng.sample(self.WORDS, rng.randint(1, 3)))
             cat = rng.choice(self.WORDS)
             desc = " ".join(rng.choices(self.WORDS, k=rng.randint(0, 5)))
             rows.append(f"{rid},{name},{cat},{desc},\n")
-        return header + "".join(rows)
+            words[rid] = words_of(name, cat, desc)
+        return header + "".join(rows), words
 
     def test_matches_brute_force(self):
         rng = random.Random(20260823)
         for _ in range(200):
-            catalog, index = ingest_catalog(self._random_catalog(rng))
+            text, words = self._random_catalog(rng)
+            _, index = ingest_catalog(text)
             terms = tuple(dict.fromkeys(
                 rng.choices(self.WORDS + ["m", "8", "zz"],
                             k=rng.randint(1, 4))
             ))
-            q = StructuredQuery(1, terms, "need")
-            rs = execute(q, catalog, index)
-            expected, flag = brute_force(q, catalog)
+            q = StructuredQuery(1, terms)
+            rs = execute(q, index)
+            expected, flag = brute_force(q, words)
             got = list(zip(rs.items, rs.scores, strict=True))
             assert got == expected
             assert rs.matched == flag
@@ -189,9 +214,10 @@ class TestLookupProperty:
 
 # Frozen reference: the per-field word rule that the one-scan index_terms
 # replaced.  It shares no code with cnlsearch.store.
-def reference_terms(record):
-    text_fields = [record.name, record.category, record.description]
-    text_fields.extend(value for _, value in record.attributes)
+def reference_terms(row):
+    name, category, description, attributes = row
+    text_fields = [name, category, description]
+    text_fields.extend(value for _, value in attributes)
     terms = set()
     for text in text_fields:
         terms.update(m.group(0).lower()
@@ -218,19 +244,17 @@ class TestIndexIsInversion:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "name", "category", "description", "attributes"])
-        file_order = []
         for rid, (name, category, description, attrs) in zip(ids, records):
             writer.writerow([rid, name, category, description,
                              "|".join(f"{k}={v}" for k, v in attrs)])
-            file_order.append(ProductRecord(rid, name, category, description,
-                                            tuple(attrs)))
         catalog, index = ingest_catalog(out.getvalue())
-        assert list(catalog.records.values()) == file_order
+        assert list(catalog.values()) == [
+            (rid, name, category) for rid, (name, category, _, _) in zip(ids, records)]
 
         postings, first_seen = {}, {}
-        for pos, record in enumerate(file_order):
+        for pos, (rid, record) in enumerate(zip(ids, records)):
             for term in reference_terms(record):
-                postings.setdefault(term, []).append(record.id)
+                postings.setdefault(term, []).append(rid)
                 first_seen.setdefault(term, pos)
         assert index.postings == {t: sorted(ids) for t, ids in postings.items()}
 
