@@ -72,10 +72,8 @@ class ResultSet:
 
 def _index_words(text: str) -> set[str]:
     """Lowercased words of ``text``."""
-    # lower() maps some non-ASCII letters (U+212A KELVIN SIGN) to ASCII
-    # word ones, so only ASCII text is lowercased before the scan
-    if text.isascii():
-        return set(_WORD_RE.findall(text.lower()))
+    # the matched words are lowercased, not the text: lower() maps some
+    # non-ASCII letters (U+212A KELVIN SIGN) to ASCII word ones
     return set(map(str.lower, _WORD_RE.findall(text)))
 
 
@@ -125,9 +123,12 @@ def ingest_catalog(source: str) -> tuple[dict[int, ProductRecord], InvertedIndex
         raw_id, name, category, description, attrs_field = row
         # ASCII digits only: int() also reads "+4", " 5", "1_0" and "٣"
         digits = raw_id.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise CatalogError(f"line {lineno}: non-integer id {raw_id!r}")
-        record_id = int(raw_id)
+        try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            record_id = int(raw_id)  # over 4300 digits is a ValueError too
+        except ValueError:
+            raise CatalogError(f"line {lineno}: non-integer id {raw_id!r}") from None
         if record_id <= 0:
             raise CatalogError(f"line {lineno}: id must be positive")
         if not name:

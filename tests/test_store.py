@@ -96,10 +96,13 @@ class TestIngest:
         with pytest.raises(CatalogError, match="non-integer id"):
             ingest_catalog(bad)
 
-    @pytest.mark.parametrize("raw_id", ["1_0", "+4", " 5", "\u0663", "-", "--3"])
+    @pytest.mark.parametrize("raw_id", [
+        "1_0", "+4", " 5", "\u0663", "-", "--3",
+        pytest.param("9" * 5000, id="5000-digits"),
+    ])
     def test_id_is_ascii_digits(self, raw_id):
-        # int() reads each of these as a number, so the answer would print
-        # an id the file does not hold
+        # int() reads the first four as a number, so the answer would print
+        # an id the file does not hold; past 4300 digits int() refuses
         bad = f"id,name,category,description,attributes\n{raw_id},Bolt,f,d,\n"
         message = f"line 2: non-integer id {raw_id!r}"
         with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
