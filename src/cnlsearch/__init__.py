@@ -6,8 +6,8 @@ keyword queries, executed against an inverted-index catalog, and answered
 in the user's own grammatical frame.
 """
 
-from .grammar import (ParseError, StatementAst, SymbolTable, TransitionGraph,
-                      default_graph, load_graph, parse)
+from .grammar import (ParseError, StatementAst, TransitionGraph, default_graph,
+                      load_graph, parse)
 from .lexicon import (Lexicon, Token, TokenStream, default_lexicon,
                       detokenize, load_lexicon, tokenize)
 from .queries import StructuredQuery, generate_query, render_sql
@@ -19,7 +19,7 @@ from .store import (InvertedIndex, ProductRecord, ResultSet, append_log,
                     execute, ingest_catalog, save_index_text)
 
 __all__ = [
-    "ParseError", "StatementAst", "SymbolTable", "TransitionGraph",
+    "ParseError", "StatementAst", "TransitionGraph",
     "default_graph", "load_graph", "parse",
     "Lexicon", "Token", "TokenStream", "default_lexicon", "detokenize",
     "load_lexicon", "tokenize",

@@ -12,8 +12,8 @@ from importlib import resources
 
 from . import grammar as grammar_mod
 from . import lexicon as lexicon_mod
-from .grammar import ParseError, StatementAst, SymbolTable, TransitionGraph, parse
-from .lexicon import Lexicon, tokenize
+from .grammar import ParseError, StatementAst, TransitionGraph, dispositions, parse
+from .lexicon import Lexicon, TokenStream, tokenize
 from .queries import StructuredQuery, generate_query, render_sql
 from .responder import (AnswerLines, ResponseFrame, build_echo, present,
                         prioritize, reconstruct)
@@ -86,17 +86,11 @@ def _load_pipeline(args: argparse.Namespace) -> Pipeline:
     return Pipeline(lex, graph, records, index, AnswerLines(records))
 
 
-def _format_parse_error(label: str, err: ParseError) -> str:
-    expected = ",".join(sorted(err.expected)) or "-"
-    return (f"{label}: parse error: {err.kind} at {err.at[0]}..{err.at[1]}"
-            f" (expected {{{expected}}}, found {err.found})")
-
-
-def _explain(out, ast: StatementAst, table: SymbolTable,
+def _explain(out, ts: TokenStream, ast: StatementAst,
              q: StructuredQuery, model: SemanticModel) -> None:
     out.write("tokens:\n")
-    for row in table.rows:
-        out.write(f"  {row.lexeme}\t{row.cls}\t{row.disposition}\n")
+    for tok, disposition in dispositions(ts, ast):
+        out.write(f"  {tok.lexeme}\t{tok.cls}\t{disposition}\n")
     path = []
     if ast.subject is not None:
         path.append(ast.subject.cls)
@@ -113,11 +107,11 @@ def _explain(out, ast: StatementAst, table: SymbolTable,
 
 
 def _emit(args: argparse.Namespace, out, pipe: Pipeline, model: SemanticModel,
-          asts: list[StatementAst], tables: list[SymbolTable],
+          streams: list[TokenStream], asts: list[StatementAst],
           queries: list[StructuredQuery], results: list[ResultSet]) -> None:
     if args.explain:
-        for ast, table, q in zip(asts, tables, queries):
-            _explain(out, ast, table, q, model)
+        for ts, ast, q in zip(streams, asts, queries):
+            _explain(out, ts, ast, q, model)
     if args.format == "text":
         frames = [ResponseFrame(build_echo(ast), rs) for ast, rs in zip(asts, results)]
         present([reconstruct(f, pipe.lines) for f in prioritize(frames)], out)
@@ -166,22 +160,23 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
     """Run the pipeline over (label, statement) pairs; returns the exit
     code: EXIT_PARSE when a statement did not parse, EXIT_CONFIG when the
     output or an output file could not be written."""
+    streams: list[TokenStream] = []  # of the accepted statements
     asts: list[StatementAst] = []
-    tables: list[SymbolTable] = []
     ok = True
     for label, line in lines:
         try:
-            ast, table = parse(tokenize(line, pipe.lexicon), pipe.graph)
+            ts = tokenize(line, pipe.lexicon)
+            ast = parse(ts, pipe.graph)
         except ParseError as exc:
-            err.write(_format_parse_error(label, exc) + "\n")
+            err.write(f"{label}: parse error: {exc}\n")
             ok = False
             continue
         except ValueError as exc:  # a line the tokenizer cannot read
             err.write(f"{label}: error: {exc}\n")
             ok = False
             continue
+        streams.append(ts)
         asts.append(ast)
-        tables.append(table)
     model = resolve(build_model(asts))
     queries = generate_query(model)
     # an answer depends only on the terms: statements with equal terms
@@ -194,7 +189,7 @@ def _run_statements(args: argparse.Namespace, pipe: Pipeline,
         rs = answers[q.terms]
         results.append(ResultSet(rs.items, rs.scores, q, rs.matched))
     try:
-        _emit(args, out, pipe, model, asts, tables, queries, results)
+        _emit(args, out, pipe, model, streams, asts, queries, results)
         out.flush()
         _side_outputs(args, pipe, model, results)
     except OSError as exc:

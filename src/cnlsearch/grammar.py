@@ -8,8 +8,8 @@ is a START-to-END path in the graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .lexicon import Token, TokenStream
 
@@ -65,7 +65,8 @@ class ParseError(Exception):
     """A statement rejected by the grammar.
 
     kind is one of empty_statement, missing_keyword, illegal_transition,
-    pronoun_before_imperative.
+    pronoun_before_imperative.  The message, ``KIND at A..B (expected
+    {X,Y}, found Z)``, is what the CLI prints after ``LABEL: parse error: ``.
     """
 
     def __init__(self, kind: str, at: tuple[int, int],
@@ -75,7 +76,7 @@ class ParseError(Exception):
         self.expected = expected
         self.found = found
         exp = ",".join(sorted(expected)) or "-"
-        super().__init__(f"{kind} at {at[0]}..{at[1]}: expected {{{exp}}}, found {found}")
+        super().__init__(f"{kind} at {at[0]}..{at[1]} (expected {{{exp}}}, found {found})")
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,6 @@ class StatementAst:
     auxiliary: Token | None
     verb: Token | None
     keyword_phrase: tuple[Token, ...]
-
-
-class SymbolRow(NamedTuple):
-    lexeme: str
-    cls: str
-    span: tuple[int, int]
-    disposition: str  # consumed | promoted_to_K | discarded_noise | discarded_punct
-
-
-@dataclass(frozen=True)
-class SymbolTable:
-    rows: tuple[SymbolRow, ...]
 
 
 def _reachable(graph: frozenset[tuple[str, str]], start: str) -> set[str]:
@@ -186,8 +175,8 @@ def accepts_sequence(seq: list[str] | tuple[str, ...], g: TransitionGraph) -> bo
     return _walk(path, g)[0] == len(path)
 
 
-def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTable]:
-    """Parse a token stream into a statement AST plus symbol table.
+def parse(ts: TokenStream, g: TransitionGraph) -> StatementAst:
+    """Parse a token stream into a statement AST.
 
     Pipeline: whitespace is dropped and punctuation discarded; UNKNOWN
     tokens before the first closed-class token are discarded as noise;
@@ -195,16 +184,7 @@ def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTabl
     the remaining class sequence must be a START-to-END path in the graph,
     consumed leftmost first.  Raises ParseError otherwise.
     """
-    rows: list[SymbolRow] = []
-    content: list[Token] = []
-    for tok in ts.tokens:
-        if tok.cls in ("WS", "END_OF_INPUT"):
-            continue
-        if tok.cls == "PUNCT":
-            rows.append(SymbolRow(tok.lexeme, tok.cls, tok.span, "discarded_punct"))
-        else:
-            content.append(tok)
-
+    content = [t for t in ts.tokens if t.cls not in ("WS", "PUNCT", "END_OF_INPUT")]
     if not content:
         raise ParseError("empty_statement", (0, len(ts.source)), frozenset(), "END")
 
@@ -218,10 +198,6 @@ def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTabl
     # leading UNKNOWN noise before the first closed-class token
     lead = 0
     while lead < len(prefix) and prefix[lead].cls == "UNKNOWN":
-        rows.append(
-            SymbolRow(prefix[lead].lexeme, prefix[lead].cls,
-                      prefix[lead].span, "discarded_noise")
-        )
         lead += 1
     clause = prefix[lead:]
 
@@ -242,14 +218,26 @@ def parse(ts: TokenStream, g: TransitionGraph) -> tuple[StatementAst, SymbolTabl
         # possible only under an override graph with a K-bypass path
         raise ParseError("missing_keyword", end_span, frozenset({"K"}), "END")
 
-    for tok in clause:
-        rows.append(SymbolRow(tok.lexeme, tok.cls, tok.span, "consumed"))
-    for tok in keyword:
-        rows.append(SymbolRow(tok.lexeme, tok.cls, tok.span, "promoted_to_K"))
-    rows.sort(key=lambda r: r.span)
-
     subject = next((t for t in clause if t.cls in PRONOUN_CLASSES), None)
     auxiliary = next((t for t in clause if t.cls in AUX_CLASSES), None)
     verb = next((t for t in clause if t.cls in VERB_CLASSES), None)
-    ast = StatementAst(subject, auxiliary, verb, tuple(keyword))
-    return ast, SymbolTable(tuple(rows))
+    return StatementAst(subject, auxiliary, verb, tuple(keyword))
+
+
+def dispositions(ts: TokenStream, ast: StatementAst) -> Iterator[tuple[Token, str]]:
+    """Each token of a parsed statement, in input order, with what parse
+    made of it: consumed, promoted_to_K, discarded_noise or
+    discarded_punct.  Whitespace and the end-of-input sentinel are left out.
+    """
+    keyword_start = ast.keyword_phrase[0].span
+    for tok in ts.tokens:
+        if tok.cls in ("WS", "END_OF_INPUT"):
+            continue
+        if tok.cls == "PUNCT":
+            yield tok, "discarded_punct"
+        elif tok.span >= keyword_start:
+            yield tok, "promoted_to_K"
+        elif tok.cls == "UNKNOWN":  # parse rejects one after a closed-class word
+            yield tok, "discarded_noise"
+        else:
+            yield tok, "consumed"

@@ -13,8 +13,8 @@ from typing import NamedTuple
 WORD_CLASSES = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
 # The full token-class inventory: ten closed classes plus the open class,
-# whitespace, punctuation, newline and the end-of-input sentinel.
-TOKEN_CLASSES = WORD_CLASSES + ("UNKNOWN", "WS", "PUNCT", "NEWLINE", "END_OF_INPUT")
+# whitespace, punctuation and the end-of-input sentinel.
+TOKEN_CLASSES = WORD_CLASSES + ("UNKNOWN", "WS", "PUNCT", "END_OF_INPUT")
 
 # A word is a maximal run of letters, digits, hyphens or underscores, so
 # part numbers like "M8" or "M8x20" stay single tokens.

@@ -26,7 +26,6 @@ class CatalogError(ValueError):
 
 
 class ProductRecord(NamedTuple):
-    id: int
     name: str
     category: str
 
@@ -102,10 +101,10 @@ def _rows(source: str):
 
 def ingest_catalog(source: str) -> tuple[dict[int, ProductRecord], InvertedIndex]:
     """Load catalog CSV text and build the inverted index in one pass.
-    A record keeps its id, name and category; the index words of its
+    Records, keyed by id, keep name and category; the index words of
     description and attribute values are taken while the row is read."""
     rows = _rows(source)
-    _, header = next(rows, (1, None))
+    _, header = next(rows, (None, None))
     if header is None:
         raise CatalogError("empty catalog file (missing header)")
     if header != CATALOG_HEADER:
@@ -144,8 +143,7 @@ def ingest_catalog(source: str) -> tuple[dict[int, ProductRecord], InvertedIndex
                 fields.append(value)
         if record_id in records:
             raise CatalogError(f"line {lineno}: duplicate record id {record_id}")
-        records[record_id] = ProductRecord(
-            record_id, name, categories.setdefault(category, category))
+        records[record_id] = ProductRecord(name, categories.setdefault(category, category))
         in_order = in_order and record_id > last_id
         last_id = record_id
         # one scan over the fields joined by a non-word character

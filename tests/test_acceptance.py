@@ -130,12 +130,13 @@ def test_criterion_4_tokenizer_round_trip(lex):
     report("4 tokenizer round-trip", ok)
 
 
-@pytest.mark.parametrize("fmt", ["text", "sql", "triples", "tsv"])
+@pytest.mark.parametrize("fmt", ["text", "sql", "triples", "tsv", "explain"])
 def test_criterion_5_golden_outputs(fmt, fixtures_dir):
+    # "explain" is the default text format with --explain
     args = _build_arg_parser().parse_args([
         "--catalog", sample_catalog_path(),
         "--batch", str(fixtures_dir / "sample_batch.txt"),
-        "--format", fmt,
+        *(["--explain"] if fmt == "explain" else ["--format", fmt]),
     ])
     out = io.StringIO()
     code = run_batch(args, out=out, err=io.StringIO())
@@ -164,7 +165,7 @@ def test_criterion_6_mandatory_keyword(lex, graph):
     for _ in range(10_000):
         ts = _random_stream(rng, lex)
         try:
-            ast, _ = parse(ts, graph)
+            ast = parse(ts, graph)
             ok = ok and len(ast.keyword_phrase) > 0
         except ParseError:
             # a graph-valid class prefix followed by a trailing keyword
@@ -191,8 +192,8 @@ def test_criterion_7_echo_grammaticality(lex, graph, fixtures_dir):
     ]
     ok = True
     for line in lines:
-        ast, _ = parse(tokenize(line, lex), graph)
-        echo_ast, _ = parse(tokenize(build_echo(ast), lex), graph)
+        ast = parse(tokenize(line, lex), graph)
+        echo_ast = parse(tokenize(build_echo(ast), lex), graph)
         classes = lambda a: [t.cls for t in
                              filter(None, [a.subject, a.auxiliary, a.verb])]
         ok = ok and classes(ast) == classes(echo_ast)

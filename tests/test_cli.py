@@ -52,6 +52,18 @@ class TestBatch:
         assert code == 2
         assert "pronoun_before_imperative" in err
 
+    def test_parse_error_lines_exact(self, tmp_path):
+        # labels count file lines, comments and blank lines included
+        code, _, err = batch_run(tmp_path, [
+            "# c", "", "I need", "I quickly need bolt", "?!.", "I"])
+        assert code == 2
+        assert err == (
+            "line 3: parse error: missing_keyword at 6..6 (expected {K}, found END)\n"
+            "line 4: parse error: illegal_transition at 2..9"
+            " (expected {D,F}, found UNKNOWN)\n"
+            "line 5: parse error: empty_statement at 0..3 (expected {-}, found END)\n"
+            "line 6: parse error: illegal_transition at 1..1 (expected {D,F}, found END)\n")
+
     def test_error_then_success_continues(self, tmp_path):
         code, out, err = batch_run(tmp_path, ["I find bolt", "He needs pump"])
         assert code == 2

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cnlsearch.grammar import (DEFAULT_GRAMMAR_TEXT, GrammarError, ParseError,
-                               accepts_sequence, load_graph, parse)
+                               accepts_sequence, dispositions, load_graph, parse)
 from cnlsearch.lexicon import WORD_CLASSES, tokenize
 
 DEFAULT_EDGES = {
@@ -36,6 +36,12 @@ class TestLoadGraph:
         with pytest.raises(GrammarError, match="END is unreachable"):
             load_graph("")
 
+    def test_end_reachable_only_off_start(self):
+        # A -> END is an edge to END, but no path from START reaches A
+        with pytest.raises(GrammarError) as exc:
+            load_graph("START -> K\nA -> END\n")
+        assert str(exc.value) == "END is unreachable from START"
+
     def test_edge_into_start_rejected(self):
         with pytest.raises(GrammarError, match="into START"):
             load_graph("K -> START\n")
@@ -45,8 +51,10 @@ class TestLoadGraph:
             load_graph("END -> K\n")
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(GrammarError, match="unknown node tag"):
-            load_graph("START -> Z\n")
+        # the line number counts comment lines too
+        with pytest.raises(GrammarError) as exc:
+            load_graph("# c\nSTART -> K\nA -> X\n")
+        assert str(exc.value) == "line 3: unknown node tag 'X'"
 
     def test_k_bypass_rejected(self):
         with pytest.raises(GrammarError, match="bypasses K"):
@@ -59,18 +67,18 @@ class TestLoadGraph:
 
 class TestParse:
     def test_present_continuous(self, lex, graph):
-        ast, _ = parse_line("I am looking for bolt", lex, graph)
+        ast = parse_line("I am looking for bolt", lex, graph)
         assert ast.subject.normalized == "i"
         assert ast.auxiliary.normalized == "am"
         assert ast.verb.normalized == "looking for"
         assert [t.normalized for t in ast.keyword_phrase] == ["bolt"]
 
     def test_third_singular_simple(self, lex, graph):
-        ast, _ = parse_line("He needs pump seal", lex, graph)
+        ast = parse_line("He needs pump seal", lex, graph)
         assert [t.normalized for t in ast.keyword_phrase] == ["pump", "seal"]
 
     def test_bare_keyword(self, lex, graph):
-        ast, _ = parse_line("bolt M8", lex, graph)
+        ast = parse_line("bolt M8", lex, graph)
         assert ast.subject is None and ast.verb is None
         assert [t.normalized for t in ast.keyword_phrase] == ["bolt", "m8"]
 
@@ -102,9 +110,11 @@ class TestParse:
         assert exc.value.kind == "missing_keyword"
 
     def test_leading_noise_discarded(self, lex, graph):
-        ast, table = parse_line("please I need bolt", lex, graph)
-        noise = [r for r in table.rows if r.disposition == "discarded_noise"]
-        assert [r.lexeme for r in noise] == ["please"]
+        ts = tokenize("please I need bolt", lex)
+        ast = parse(ts, graph)
+        noise = [t for t, d in dispositions(ts, ast) if d == "discarded_noise"]
+        assert [t.lexeme for t in noise] == ["please"]
+        assert ast.subject.normalized == "i"
         assert [t.normalized for t in ast.keyword_phrase] == ["bolt"]
 
     def test_interior_unknown_is_illegal(self, lex, graph):
@@ -114,11 +124,14 @@ class TestParse:
 
     def test_symbol_table_partitions_tokens(self, lex, graph):
         ts = tokenize("He needs bolt M8.", lex)
-        ast, table = parse(ts, graph)
+        ast = parse(ts, graph)
+        rows = list(dispositions(ts, ast))
         content = [t for t in ts.tokens if t.cls not in ("WS", "END_OF_INPUT")]
-        assert len(table.rows) == len(content)
-        promoted = [r for r in table.rows if r.disposition == "promoted_to_K"]
-        assert [r.lexeme for r in promoted] == [t.lexeme for t in ast.keyword_phrase]
+        assert [t for t, _ in rows] == content
+        assert [d for _, d in rows] == [
+            "consumed", "consumed", "promoted_to_K", "promoted_to_K", "discarded_punct"]
+        promoted = [t for t, d in rows if d == "promoted_to_K"]
+        assert promoted == list(ast.keyword_phrase)
 
     def test_deterministic(self, lex, graph):
         a1 = parse_line("We are looking for pump", lex, graph)

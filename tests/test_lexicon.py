@@ -40,12 +40,24 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="empty lexeme"):
             load_lexicon("\tD\n")
 
+    def test_error_names_file_line(self):
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon("# c\n\nneed\n")
+        assert str(exc.value) == "line 3: expected <lexeme><TAB><class>"
+
     def test_max_phrase_len(self, lex):
         assert lex.max_phrase_len == 2
 
-    def test_exactly_fifteen_token_classes(self):
-        assert len(TOKEN_CLASSES) == 15
-        assert len(set(TOKEN_CLASSES)) == 15
+    def test_token_classes_are_those_tokenize_yields(self, lex):
+        # one lexeme of each word class, then an UNKNOWN word, a non-word
+        # run (UNKNOWN too) and punctuation, between whitespace runs
+        word = {}
+        for lexeme, tag in lex.entries.items():
+            word.setdefault(tag, lexeme)
+        line = " ".join(word[c] for c in WORD_CLASSES) + " bolt @@ ?"
+        yielded = {t.cls for t in tokenize(line, lex).tokens}
+        assert len(set(TOKEN_CLASSES)) == len(TOKEN_CLASSES)
+        assert set(TOKEN_CLASSES) == yielded
 
 
 class TestTokenize:
@@ -105,6 +117,7 @@ class TestRoundTrip:
         "bolt  M8 , washer ;; ???",
         "   leading and trailing   ",
         "weird @@ $% characters &*()",
+        "need bolt ",
     ])
     def test_examples(self, lex, line):
         assert detokenize(tokenize(line, lex)) == line

@@ -24,7 +24,7 @@ def with_special(words):
 
 
 def queries_of(lines, lex, graph):
-    asts = [parse(tokenize(line, lex), graph)[0] for line in lines]
+    asts = [parse(tokenize(line, lex), graph) for line in lines]
     return generate_query(build_model(asts))
 
 

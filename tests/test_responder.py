@@ -27,18 +27,18 @@ def sample_lines(catalog_and_index):
 
 class TestEcho:
     def test_subject_capitalized(self, lex, graph):
-        ast, _ = parse(tokenize("she is looking for BOLT", lex), graph)
+        ast = parse(tokenize("she is looking for BOLT", lex), graph)
         assert build_echo(ast) == "She is looking for bolt"
 
     def test_bare_statement(self, lex, graph):
-        ast, _ = parse(tokenize("bolt M8.", lex), graph)
+        ast = parse(tokenize("bolt M8.", lex), graph)
         assert build_echo(ast) == "bolt m8"
 
     def test_echo_reparses_identically(self, lex, graph):
         for line in ["She needs Bolt M8!", "we are searching for pump seal",
                      "find gasket", "bolt"]:
-            ast, _ = parse(tokenize(line, lex), graph)
-            echo_ast, _ = parse(tokenize(build_echo(ast), lex), graph)
+            ast = parse(tokenize(line, lex), graph)
+            echo_ast = parse(tokenize(build_echo(ast), lex), graph)
             original = [(t.cls) for t in
                         filter(None, [ast.subject, ast.auxiliary, ast.verb])]
             echoed = [(t.cls) for t in
@@ -90,7 +90,7 @@ class TestReconstruct:
         assert "Results (1, partial match):" in text
 
     def test_ids_and_keyword_present(self, lex, graph, sample_lines):
-        ast, _ = parse(tokenize("He needs bolt m8", lex), graph)
+        ast = parse(tokenize("He needs bolt m8", lex), graph)
         frame = ResponseFrame(build_echo(ast),
                               ResultSet(tuple(BOLT_IDS), (2, 2),
                                         StructuredQuery(1, ("bolt", "m8")),
@@ -130,7 +130,7 @@ class TestReconstructMatchesTemplate:
                                    st.tuples(FIELD.filter(bool), FIELD),
                                    min_size=1, max_size=8))
     def test_line_for_line(self, data, echo, records):
-        lines = AnswerLines({rid: ProductRecord(rid, name, category)
+        lines = AnswerLines({rid: ProductRecord(name, category)
                              for rid, (name, category) in records.items()})
         answer = st.tuples(st.lists(st.sampled_from(sorted(records)), unique=True),
                            st.sampled_from(["AND", "OR"]))

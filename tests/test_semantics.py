@@ -9,7 +9,7 @@ from cnlsearch.semantics import (CANONICAL_PREDICATE, SemanticModel, Statement,
 
 
 def model_of(lines, lex, graph):
-    asts = [parse(tokenize(line, lex), graph)[0] for line in lines]
+    asts = [parse(tokenize(line, lex), graph) for line in lines]
     return build_model(asts)
 
 

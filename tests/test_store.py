@@ -50,7 +50,7 @@ class TestIngest:
         assert len(catalog) == 3
         assert index.postings["bolt"] == [1]
         assert index.postings["washer"] == [2]
-        assert catalog[1] == (1, "Hex Bolt", "fasteners")
+        assert catalog[1] == ("Hex Bolt", "fasteners")
         assert index.postings["m8"] == [1]  # an attribute value
 
     def test_header_only(self):
@@ -251,8 +251,8 @@ class TestIndexIsInversion:
             writer.writerow([rid, name, category, description,
                              "|".join(f"{k}={v}" for k, v in attrs)])
         catalog, index = ingest_catalog(out.getvalue())
-        assert list(catalog.values()) == [
-            (rid, name, category) for rid, (name, category, _, _) in zip(ids, records)]
+        assert list(catalog.items()) == [
+            (rid, (name, category)) for rid, (name, category, _, _) in zip(ids, records)]
 
         postings, first_seen = {}, {}
         for pos, (rid, record) in enumerate(zip(ids, records)):
